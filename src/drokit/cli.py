@@ -268,7 +268,7 @@ def cmd_recover(args) -> int:
     _manifest(out_dir, "recover_manifest.json", "recover", args.seed,
               {"dro": str(dro_path), "object_cloud": str(object_path),
                "robot_cloud": str(robot_path), "model": args.model},
-              {"q_init": [float(v) for v in q_init]}, outputs[1:])
+              {"q_init": [float(v) for v in q_init]}, outputs)
     print(json.dumps(result.to_json_dict()))
     return EXIT_OK
 

@@ -6,6 +6,12 @@ was measured against, determines the robot cloud: each row is a set of
 range measurements to known reference points, solved by a linearized
 least-squares step plus a short Gauss-Newton polish on the squared-range
 residuals.
+
+All rows share one SVD of the object-side linear system: it checks the
+references for degeneracy and gives the pseudo-inverse of the closed-form
+step.  The polish works in moment form in the object's centroid frame, so
+each step costs two (rows, N_O) matrix products and a batched 3 x 3 solve;
+no per-row (N_O, 3) difference array is ever formed.
 """
 
 from __future__ import annotations
@@ -51,48 +57,69 @@ def compute_dro(robot_cloud, object_cloud, block: int = 4) -> np.ndarray:
 
 
 def _reference_system(obj: np.ndarray) -> np.ndarray:
-    """Linearized multilateration system matrix; shared by every row."""
+    """Pseudo-inverse of the linearized multilateration system; shared by every row.
+
+    The (N_O, 4) system [-2 p_j, 1] is factored once by SVD.  The same
+    singular values decide degeneracy and build the pseudo-inverse, so the
+    closed-form step needs no second factorization.
+    """
     n = len(obj)
     if n < 4:
         raise DegeneracyError(f"need at least 4 reference points, got {n}")
     a = np.empty((n, 4))
     a[:, :3] = -2.0 * obj
     a[:, 3] = 1.0
-    sv = np.linalg.svd(a, compute_uv=False)
+    u, sv, vt = np.linalg.svd(a, full_matrices=False)
     if sv[-1] <= 0.0 or sv[0] / sv[-1] > CONDITION_LIMIT:
         raise DegeneracyError("reference points are degenerate (coplanar or worse); "
                               f"condition number exceeds {CONDITION_LIMIT:.0e}")
-    return a
+    return (vt.T / sv) @ u.T  # (4, N_O)
 
 
 def _multilaterate_rows(dist: np.ndarray, obj: np.ndarray, refine_steps: int) -> np.ndarray:
     """Solve every row of a distance matrix against shared references.
 
     Closed-form step: with s = ||p||^2 the range equations become linear,
-    -2 p_j . p + s = d_j^2 - ||p_j||^2, solved for all rows at once by SVD
-    least squares.  Gauss-Newton steps on f_j(p) = ||p - p_j||^2 - d_j^2
+    -2 p_j . p + s = d_j^2 - ||p_j||^2, solved for all rows at once with the
+    pseudo-inverse from the SVD that ``_reference_system`` also uses for its
+    condition check.  Gauss-Newton steps on f_j(p) = ||p - p_j||^2 - d_j^2
     then remove the linearization bias.
-    """
-    a = _reference_system(obj)
-    ref_sq = (obj * obj).sum(axis=1)
-    b = (dist * dist - ref_sq).T  # (N_O, rows)
-    solution = np.linalg.lstsq(a, b, rcond=None)[0]
-    p = np.ascontiguousarray(solution[:3].T)  # (rows, 3)
 
+    The refine runs in moment form in the object's centroid frame
+    (o_j = p_j - mean, q = p - mean, so sum_j o_j = 0):
+    f = ||q||^2 - 2 q . o_j + ||o_j||^2 - d_j^2 is one GEMM for all rows,
+    J^T J = 4 (N q q^T + M) with M = sum_j o_j o_j^T formed once, and
+    J^T f = 2 (q sum_j f_j - f @ o), a second GEMM.  The largest temporary
+    is (rows, N_O).  Centring keeps the expanded squares small, so accuracy
+    does not fall off as the object moves away from the origin.
+    """
+    pinv = _reference_system(obj)
     d_sq = dist * dist
+    solution = (d_sq - (obj * obj).sum(axis=1)) @ pinv.T  # (rows, 4)
+
+    centroid = obj.mean(axis=0)
+    o = obj - centroid
+    o_sq = (o * o).sum(axis=1)
+    moment = o.T @ o
+    n = len(obj)
+    q = solution[:, :3] - centroid
     for _ in range(refine_steps):
-        diff = p[:, None, :] - obj[None, :, :]            # (rows, N_O, 3)
-        f = (diff * diff).sum(axis=2) - d_sq              # (rows, N_O)
-        jtj = 4.0 * np.einsum("rna,rnb->rab", diff, diff)
-        jtf = 2.0 * np.einsum("rna,rn->ra", diff, f)
+        f = q @ o.T  # (rows, N_O)
+        f *= -2.0
+        f += (q * q).sum(axis=1)[:, None]
+        f += o_sq
+        f -= d_sq
+        jtj = 4.0 * (n * q[:, :, None] * q[:, None, :] + moment)
+        jtf = 2.0 * (q * f.sum(axis=1)[:, None] - f @ o)
         try:
             step = np.linalg.solve(jtj, jtf[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            bad = [i for i in range(len(p))
+            bad = [i for i in range(len(q))
                    if np.linalg.matrix_rank(jtj[i]) < 3]
             row = bad[0] if bad else 0
             raise DegeneracyError(f"refinement normal equations singular at row {row}")
-        p = p - step
+        q = q - step
+    p = q + centroid
     if not np.all(np.isfinite(p)):
         row = int(np.flatnonzero(~np.isfinite(p).all(axis=1))[0])
         raise DegeneracyError(f"multilateration diverged at row {row}")

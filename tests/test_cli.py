@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -164,6 +165,18 @@ def test_recover_round_trip(assets):
     cloud = read_dropc(out / "recovered.dropc")
     assert cloud.labels is not None
     assert len(cloud) == len(read_dropc(robot))
+
+
+def test_recover_manifest_hashes_result(assets):
+    out, robot, obj, _, _ = _computed_assets(assets)
+    code = run(["--output", out, "recover", out / "dro.dromx", obj,
+                "--model", assets["urdf"], "--robot-cloud", robot])
+    assert code == 0
+    manifest = json.loads((out / "recover_manifest.json").read_text())
+    result_path = out / "recover_result.json"
+    digest = hashlib.sha256(result_path.read_bytes()).hexdigest()
+    assert manifest["outputs"] == {
+        "recover_result.json": {"path": str(result_path), "sha256": digest}}
 
 
 def test_recover_shape_mismatch_fails_fast(assets, capsys):

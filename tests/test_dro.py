@@ -48,6 +48,22 @@ def random_references(rng, n, scale=0.1, center=(0.0, 0.0, 0.0)):
     return center + rng.normal(scale=scale, size=(n, 3))
 
 
+def direct_gauss_newton(dist, refs, steps=3):
+    """Per-row reference solver: the closed-form linear start from lstsq, then
+    Gauss-Newton on f_j = ||p - p_j||^2 - d_j^2 with explicit (N_O, 3)
+    differences."""
+    a = np.hstack([-2.0 * refs, np.ones((len(refs), 1))])
+    out = np.empty((len(dist), 3))
+    for r, d in enumerate(dist):
+        p = np.linalg.lstsq(a, d ** 2 - (refs ** 2).sum(axis=1), rcond=None)[0][:3]
+        for _ in range(steps):
+            diff = p - refs
+            f = (diff ** 2).sum(axis=1) - d ** 2
+            p = p - np.linalg.solve(4.0 * diff.T @ diff, 2.0 * diff.T @ f)
+        out[r] = p
+    return out
+
+
 # ---------------------------------------------------------------- compute_dro
 
 def test_unit_distance():
@@ -240,3 +256,27 @@ def test_noise_error_shrinks_with_more_references():
             errs.append(np.linalg.norm(rec - p))
         mean_err[n] = np.mean(errs)
     assert mean_err[8] >= mean_err[32] >= mean_err[128] >= mean_err[512]
+
+
+def test_recover_cloud_matches_direct_gauss_newton_512x512():
+    rng = np.random.default_rng(14)
+    robot = rng.normal(scale=0.2, size=(512, 3))
+    obj = random_references(rng, 512)
+    exact = compute_dro(robot, obj)
+    noisy = np.abs(exact + rng.normal(0.0, 1e-3, size=exact.shape))
+    for mat in (exact, noisy):
+        rec = recover_cloud(mat, obj)
+        assert np.abs(rec.points - direct_gauss_newton(mat, obj)).max() < 1e-12
+
+
+def test_far_object_recovery_keeps_precision():
+    # the scene sits 10 m from the origin; the refine must not lose digits
+    rng = np.random.default_rng(15)
+    offset = np.array([10.0, 0.0, 0.0])
+    obj = random_references(rng, 512, scale=0.04, center=offset)
+    robot = offset + rng.normal(scale=0.1, size=(256, 3))
+    exact = compute_dro(robot, obj)
+    assert np.abs(recover_cloud(exact, obj).points - robot).max() < 1e-9
+    noisy = np.abs(exact + rng.normal(0.0, 1e-3, size=exact.shape))
+    rec = recover_cloud(noisy, obj)
+    assert np.abs(rec.points - direct_gauss_newton(noisy, obj)).max() < 1e-9
