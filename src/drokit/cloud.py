@@ -271,18 +271,18 @@ def cloud_fk(model: KinematicModel, q, canonical: dict[str, np.ndarray]) -> Poin
     """
     if not canonical:
         raise ContractError("canonical clouds are empty")
+    known = set(model.links)
     for link in canonical:
-        if link not in model._link_index:
+        if link not in known:
             raise ContractError(f"canonical cloud for unknown link '{link}'")
     q = as_config(model, q)
     rot, trans = _fk_arrays(model, q)
     parts = []
     labels = []
-    for link in model.links:
+    for i, link in enumerate(model.links):
         if link not in canonical:
             continue
         pts = np.asarray(canonical[link], dtype=float)
-        i = model._link_index[link]
         parts.append(pts @ rot[i].T + trans[i])
         labels.extend([link] * len(pts))
     return PointCloud(np.vstack(parts), labels)

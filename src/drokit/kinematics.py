@@ -151,6 +151,10 @@ class LinkPoseSet:
 class KinematicModel:
     """Immutable augmented kinematic tree.
 
+    The underscored index tables are private to this module.  Other modules
+    use ``links``, ``tip_links``, ``dof_index``, :meth:`parent_link`,
+    :meth:`parent_joint`, ``_fk_arrays`` and ``_jacobians``.
+
     Attributes
     ----------
     links : tuple of str
@@ -190,17 +194,13 @@ class KinematicModel:
 
         lower = np.zeros(self.n_dof)
         upper = np.zeros(self.n_dof)
-        self._dof_axis = np.zeros((self.n_dof, 3))
         self._dof_child = np.full(self.n_dof, -1, dtype=int)
-        self._dof_prismatic = np.zeros(self.n_dof, dtype=bool)
         for j in self.joints:
             if not j.movable:
                 continue
             d = self.dof_index[j.name]
             lower[d], upper[d] = j.limits
-            self._dof_axis[d] = j.axis
             self._dof_child[d] = self._link_index[j.child_link]
-            self._dof_prismatic[d] = j.kind in _PRISMATIC_KINDS
         self.lower = lower
         self.upper = upper
         self.lower.flags.writeable = False
@@ -520,23 +520,15 @@ def forward_kinematics(model: KinematicModel, q) -> LinkPoseSet:
     return LinkPoseSet(rotations, translations)
 
 
-def _dof_frames(model: KinematicModel, rot: np.ndarray, trans: np.ndarray):
-    """World axis (n_dof,3) and anchor point (n_dof,3) per movable joint."""
-    child = model._dof_child
-    axes_local = model._dof_axis
-    axis_w = np.einsum("nij,nj->ni", rot[child], axes_local)
-    point_w = trans[child]
-    return axis_w, point_w
-
-
 def _jacobians(model: KinematicModel, rot: np.ndarray, trans: np.ndarray,
                link_indices: np.ndarray) -> np.ndarray:
     """Stacked origin Jacobians (len(link_indices), 3, n_dof)."""
-    axis_w, point_w = _dof_frames(model, rot, trans)
-    targets = trans[link_indices]  # (T,3)
-    diff = targets[:, None, :] - point_w[None, :, :]          # (T,n,3)
+    child = model._dof_child  # each joint's axis and anchor live in its child frame
+    axis_w = np.einsum("nij,nj->ni", rot[child], model._axis[child])
+    prismatic = model._kind[child] == 2
+    diff = trans[link_indices][:, None, :] - trans[child][None, :, :]  # (T,n,3)
     cols = np.cross(axis_w[None, :, :], diff)                 # revolute columns
-    cols[:, model._dof_prismatic, :] = axis_w[model._dof_prismatic]
+    cols[:, prismatic, :] = axis_w[prismatic]
     cols *= model._path_mask[link_indices][:, :, None]
     return cols.transpose(0, 2, 1)
 

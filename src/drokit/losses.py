@@ -11,18 +11,12 @@ import warnings
 
 import numpy as np
 
-from .cloud import PointCloud, TriangleMesh
+from .cloud import TriangleMesh
+from .dro import _points_of, compute_dro
 from .errors import ContractError, DataError
 from .rng import substream
 
 _POINT_CHUNK = 128  # bounds the (points x triangles) working arrays
-
-
-def _as_points(cloud) -> np.ndarray:
-    pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ContractError(f"expected (N, 3) points, got shape {pts.shape}")
-    return pts
 
 
 def contrastive_weights(points_b: np.ndarray, lam: float,
@@ -34,7 +28,7 @@ def contrastive_weights(points_b: np.ndarray, lam: float,
     All points coincident makes the normalizer zero; the limit convention is
     an all-ones matrix, reported via a warning.
     """
-    pts = _as_points(points_b)
+    pts = _points_of(points_b)
     n = len(pts)
     if n < 1:
         raise ContractError("need at least one point")
@@ -42,9 +36,7 @@ def contrastive_weights(points_b: np.ndarray, lam: float,
         raise ContractError("lambda must be positive")
     if n == 1:
         return np.ones((1, 1))
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    w = np.tanh(lam * dist)
+    w = np.tanh(lam * compute_dro(pts, pts))
     off = ~np.eye(n, dtype=bool)
     peak = w[off].reshape(n, n - 1).max(axis=1) if per_row else w[off].max()
     if np.min(peak) <= 0.0:
@@ -72,7 +64,7 @@ def contrastive_loss(phi_a: np.ndarray, phi_b: np.ndarray, points_b: np.ndarray,
                             f"got {a.shape} and {b.shape}")
     if tau <= 0.0:
         raise ContractError("tau must be positive")
-    pts = _as_points(points_b)
+    pts = _points_of(points_b)
     if len(pts) != len(a):
         raise ContractError("points_b length does not match feature rows")
 
@@ -185,7 +177,7 @@ def _solid_angles(points: np.ndarray, corners: np.ndarray) -> np.ndarray:
 
 def winding_numbers(points, mesh: TriangleMesh) -> np.ndarray:
     """Generalized winding number of each point: ~1 inside, ~0 outside."""
-    pts = _as_points(points)
+    pts = _points_of(points)
     corners = mesh.corners()
     out = np.empty(len(pts))
     for i in range(0, len(pts), _POINT_CHUNK):
@@ -196,7 +188,7 @@ def winding_numbers(points, mesh: TriangleMesh) -> np.ndarray:
 
 def signed_distances(points, mesh: TriangleMesh) -> np.ndarray:
     """Distance to the mesh surface, negative inside (winding number > 1/2)."""
-    pts = _as_points(points)
+    pts = _points_of(points)
     corners = mesh.corners()
     dist = np.empty(len(pts))
     for i in range(0, len(pts), _POINT_CHUNK):
@@ -232,7 +224,7 @@ def check_watertight(mesh: TriangleMesh, n_probes: int = 32, tol: float = 1e-3) 
 def penetration_loss(robot_cloud, object_mesh: TriangleMesh) -> float:
     """Magnitude of summed negative signed distances of robot points to the
     object surface: zero iff no point is strictly inside."""
-    pts = _as_points(robot_cloud)
+    pts = _points_of(robot_cloud)
     check_watertight(object_mesh)
     sdf = signed_distances(pts, object_mesh)
     return float(abs(np.minimum(sdf, 0.0).sum()))

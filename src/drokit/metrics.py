@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ContractError
 from .kinematics import (KinematicModel, as_config, clamp_to_limits, in_limits,
-                         _dof_frames, _fk_arrays)
+                         _fk_arrays, _jacobians)
 
 PROVENANCES = ("dataset", "recovered", "manual")
 
@@ -101,32 +101,14 @@ def controller_targets(model: KinematicModel, q_pred, object_centroid,
         raise ContractError("delta must be nonnegative")
 
     rot, trans = _fk_arrays(model, q)
-    axis_w, point_w = _dof_frames(model, rot, trans)
-    tip_idx = np.array([model._require_link(t) for t in model.tip_links], dtype=int)
-
-    q_outer = q.copy()
-    q_inner = q.copy()
-    if delta > 0.0 and len(tip_idx):
-        for dof in range(6, model.n_dof):
-            tips = tip_idx[model._path_mask[tip_idx, dof]]
-            if len(tips) == 0:
-                continue
-            deriv = 0.0
-            for t in tips:
-                offset = trans[t] - centroid
-                dist = np.linalg.norm(offset)
-                if dist < 1e-12:
-                    continue
-                if model._dof_prismatic[dof]:
-                    col = axis_w[dof]
-                else:
-                    col = np.cross(axis_w[dof], trans[t] - point_w[dof])
-                deriv += float(offset @ col) / dist
-            deriv /= len(tips)
-            sign = float(np.sign(deriv))
-            q_outer[dof] += delta * sign
-            q_inner[dof] -= delta * sign
-    return clamp_to_limits(model, q_outer), clamp_to_limits(model, q_inner)
+    tip_idx = np.array([model.links.index(t) for t in model.tip_links])
+    offset = trans[tip_idx] - centroid
+    dist = np.linalg.norm(offset, axis=1, keepdims=True)
+    unit = np.divide(offset, dist, out=np.zeros_like(offset), where=dist >= 1e-12)
+    # tips off a joint's path have zero columns, so they add nothing
+    step = delta * np.sign(np.einsum("tk,tkn->n", unit, _jacobians(model, rot, trans, tip_idx)))
+    step[:6] = 0.0
+    return clamp_to_limits(model, q + step), clamp_to_limits(model, q - step)
 
 
 def disturbance_forces(object_mass: float) -> np.ndarray:

@@ -125,9 +125,9 @@ def solve_joints(model: KinematicModel, targets: dict[str, np.ndarray], q_init,
 
     idx = []
     goal = []
-    for link in model.links:  # deterministic model order
+    for i, link in enumerate(model.links):  # deterministic model order
         if link in targets:
-            idx.append(model._require_link(link))
+            idx.append(i)
             goal.append(np.asarray(targets[link], dtype=float))
     if len(idx) != len(targets):
         unknown = sorted(set(targets) - set(model.links))

@@ -6,6 +6,8 @@ from drokit import (ContractError, GraspRecord, controller_targets,
                     in_limits, load_model, per_dimension_std,
                     read_grasp_records, write_grasp_records)
 
+from drokit.kinematics import PRISMATIC
+
 import hands
 
 
@@ -141,6 +143,84 @@ def test_out_of_limits_prediction_rejected():
     q[6] = 99.0
     with pytest.raises(ContractError):
         controller_targets(model, q, np.zeros(3))
+
+
+def reference_controller_targets(model, q, centroid, delta):
+    """Per-joint reference built from forward kinematics and each JointSpec:
+    the sign of d/dq of the summed distance from the joint's descendant tips
+    to the centroid, with a tip on the centroid left out."""
+    poses = forward_kinematics(model, q)
+    chains = {}
+    for tip in model.tip_links:
+        chains[tip], link = set(), tip
+        while link is not None:
+            chains[tip].add(link)
+            link = model.parent_link(link)
+    q_outer, q_inner = q.copy(), q.copy()
+    for joint in model.joints:
+        dof = model.dof_index.get(joint.name, -1)
+        if dof < 6:  # fixed joints and the wrist
+            continue
+        axis = poses.rotation(joint.child_link) @ joint.axis
+        anchor = poses.translation(joint.child_link)
+        deriv = 0.0
+        for tip in model.tip_links:
+            if joint.child_link not in chains[tip]:
+                continue
+            offset = poses.translation(tip) - centroid
+            dist = np.linalg.norm(offset)
+            if dist < 1e-12:
+                continue
+            if joint.kind == PRISMATIC:
+                col = axis
+            else:
+                col = np.cross(axis, poses.translation(tip) - anchor)
+            deriv += float(offset @ col) / dist
+        q_outer[dof] += delta * np.sign(deriv)
+        q_inner[dof] -= delta * np.sign(deriv)
+    return (np.clip(q_outer, model.lower, model.upper),
+            np.clip(q_inner, model.lower, model.upper))
+
+
+def reference_cases():
+    """(model, q, centroid) over both test hands and random serial chains."""
+    rng = np.random.default_rng(11)
+    hand_models = [load_model(hands.three_finger_hand()[0]),
+                   load_model(hands.five_finger_hand()[0])]
+    chains = [load_model(hands.random_chain_urdf(rng)) for _ in range(20)]
+    for model, n in [(m, 40) for m in hand_models] + [(m, 5) for m in chains]:
+        for _ in range(n):
+            q = rng.uniform(model.lower, model.upper)
+            q[:3] = rng.uniform(-0.3, 0.3, 3)
+            yield model, q, rng.uniform(-0.3, 0.3, 3)
+
+
+def test_controller_matches_reference_on_random_configurations():
+    moved = 0
+    prismatic = 0
+    for model, q, centroid in reference_cases():
+        for delta in (0.1, 0.0):
+            q_outer, q_inner = controller_targets(model, q, centroid, delta=delta)
+            ref_outer, ref_inner = reference_controller_targets(model, q, centroid, delta)
+            assert np.array_equal(q_outer, ref_outer)
+            assert np.array_equal(q_inner, ref_inner)
+            moved += delta > 0.0 and not np.array_equal(q_outer, q)
+        assert np.array_equal(q_outer, q)  # delta == 0 moves nothing
+        prismatic += any(j.kind == PRISMATIC for j in model.joints)
+    assert moved > 100
+    assert prismatic > 0  # the chains reach the prismatic columns
+
+
+def test_controller_matches_reference_with_centroid_on_a_tip():
+    for model, q, _ in reference_cases():
+        poses = forward_kinematics(model, q)
+        for tip in model.tip_links:
+            centroid = poses.translation(tip)
+            q_outer, q_inner = controller_targets(model, q, centroid, delta=0.1)
+            ref_outer, ref_inner = reference_controller_targets(model, q, centroid, 0.1)
+            assert np.all(np.isfinite(q_outer))
+            assert np.array_equal(q_outer, ref_outer)
+            assert np.array_equal(q_inner, ref_inner)
 
 
 # ---------------------------------------------------------------- forces
