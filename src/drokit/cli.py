@@ -28,7 +28,7 @@ from .cloud import (PointCloud, SamplingConfig, TriangleMesh, cloud_fk,
                     load_obj, sample_link_clouds, sample_object_cloud)
 from .dro import compute_dro
 from .errors import (ContractError, DataError, DegeneracyError, DroError,
-                     FormatError, StageError, StructureError, UrdfError)
+                     FormatError, StageError)
 from .formats import read_dromx, read_dropc, write_dromx, write_dropc
 from .kinematics import KinematicModel, LinkPoseSet, forward_kinematics, load_model
 from .losses import contrastive_loss, dro_l1_loss, penetration_loss, pose_loss
@@ -45,7 +45,6 @@ EXIT_TOLERANCE = 4
 # multilateration geometry well-conditioned
 TRIAL_WRIST_RANGE = 0.3
 
-_VALIDATION_ERRORS = (ContractError, StructureError, UrdfError)
 _DATA_ERRORS = (DataError, FormatError, DegeneracyError)
 
 
@@ -216,7 +215,7 @@ def cmd_compute_dro(args) -> int:
     q = _resolve_q(args, model)
 
     posed = cloud_fk(model, q, robot_cloud.by_link())
-    matrix = compute_dro(posed, object_cloud, block=args.block)
+    matrix = compute_dro(posed, object_cloud)
 
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -227,7 +226,7 @@ def cmd_compute_dro(args) -> int:
     if args.grasp_file is not None:
         inputs["grasp_file"] = str(args.grasp_file)
     _manifest(out_dir, "dro_manifest.json", "compute-dro", args.seed, inputs,
-              {"q": [float(v) for v in q], "block": args.block, "dtype": args.dtype},
+              {"q": [float(v) for v in q], "dtype": args.dtype},
               [out_path])
     print(json.dumps({"written": [str(out_path)], "shape": list(matrix.shape)}))
     return EXIT_OK
@@ -465,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", default=None, help="comma-separated configuration")
     p.add_argument("--grasp-file", default=None, help="grasp-record JSONL file")
     p.add_argument("--grasp-index", type=int, default=0)
-    p.add_argument("--block", type=int, default=4)
     p.add_argument("--dtype", choices=("f64", "f32"), default="f64")
     p.add_argument("--out", default="dro.dromx")
     p.set_defaults(func=cmd_compute_dro)
@@ -540,6 +538,14 @@ def _apply_config(args) -> None:
                 setattr(args, attr, cfg[section][key])
 
 
+def _exit_code(exc: Exception) -> int:
+    if isinstance(exc, ToleranceFailure):
+        return EXIT_TOLERANCE
+    if isinstance(exc, StageError):
+        exc = exc.cause
+    return EXIT_DATA if isinstance(exc, _DATA_ERRORS) else EXIT_VALIDATION
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -562,21 +568,9 @@ def main(argv=None) -> int:
                 raise ContractError(f"losses {args.kind} takes {expected} files, "
                                     f"got {len(args.files)}")
         return args.func(args)
-    except ToleranceFailure as exc:
+    except (DroError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA if isinstance(exc.cause, _DATA_ERRORS) else EXIT_VALIDATION
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from .cloud import PointCloud
 from .errors import ContractError, DegeneracyError
 
 CONDITION_LIMIT = 1e10
+_ROW_CHUNK = 64  # bounds the (rows x object points) distance temporary
 
 
 def _points_of(cloud) -> np.ndarray:
@@ -31,28 +32,25 @@ def _points_of(cloud) -> np.ndarray:
     return pts
 
 
-def compute_dro(robot_cloud, object_cloud, block: int = 4) -> np.ndarray:
-    """Pairwise distance matrix, computed in a block x block grid of tiles.
+def compute_dro(robot_cloud, object_cloud) -> np.ndarray:
+    """Pairwise robot-object distance matrix.
 
-    The tiling only bounds peak memory; entries are bitwise identical for
-    any block count.
+    Squares are summed per coordinate into the output, ``_ROW_CHUNK`` robot
+    rows at a time, so the only temporary is one (_ROW_CHUNK, N_O) difference.
+    Summing from zero keeps each entry bitwise equal to sqrt(dx*dx + dy*dy + dz*dz).
     """
     rpts = _points_of(robot_cloud)
     opts = _points_of(object_cloud)
     if len(rpts) == 0 or len(opts) == 0:
         raise ContractError("clouds must be nonempty")
-    if block < 1:
-        raise ContractError("block count must be >= 1")
-    n_r, n_o = len(rpts), len(opts)
-    tile_r = -(-n_r // block)
-    tile_o = -(-n_o // block)
-    out = np.empty((n_r, n_o))
-    for i0 in range(0, n_r, tile_r):
-        ri = rpts[i0:i0 + tile_r]
-        for j0 in range(0, n_o, tile_o):
-            oj = opts[j0:j0 + tile_o]
-            diff = ri[:, None, :] - oj[None, :, :]
-            out[i0:i0 + tile_r, j0:j0 + tile_o] = np.sqrt((diff * diff).sum(axis=2))
+    out = np.zeros((len(rpts), len(opts)))
+    for i in range(0, len(rpts), _ROW_CHUNK):
+        sq = out[i:i + _ROW_CHUNK]
+        for k in range(3):
+            d = rpts[i:i + _ROW_CHUNK, k, None] - opts[:, k]
+            d *= d
+            sq += d
+        np.sqrt(sq, out=sq)
     return out
 
 

@@ -246,11 +246,13 @@ class KinematicModel:
                 self._path_mask[i, self._dof[i]] = True
 
     def with_clouds(self, canonical_clouds: dict[str, np.ndarray]) -> "KinematicModel":
-        """New model sharing structure with canonical clouds attached."""
+        """New model sharing structure with canonical clouds attached, kept in
+        ``links`` order (the row order of ``cloud_fk``) whatever the dict's order."""
         for link in canonical_clouds:
             if link not in self._link_index:
                 raise ContractError(f"cloud for unknown link '{link}'")
-        clouds = {k: np.ascontiguousarray(v, dtype=float) for k, v in canonical_clouds.items()}
+        clouds = {k: np.ascontiguousarray(canonical_clouds[k], dtype=float)
+                  for k in self.links if k in canonical_clouds}
         return KinematicModel(self.links, self.joints, self.dof_index,
                               self.tip_links, clouds)
 

@@ -140,17 +140,17 @@ def solve_joints(model: KinematicModel, targets: dict[str, np.ndarray], q_init,
 
     def objective(rot, trans):
         err = trans[idx] - goal
-        norms = np.sqrt((err * err).sum(axis=1))
-        return err, norms.sum()
+        return err, np.sqrt((err * err).sum(axis=1))
 
     trace: list[float] = []
     converged = False
     iterations = 0
     rot, trans = _fk_arrays(model, q)
-    err, total = objective(rot, trans)
+    err, norms = objective(rot, trans)
 
     for it in range(1, params.max_iters + 1):
         iterations = it
+        total = norms.sum()
         trace.append(total / n_t)
         if total / n_t < params.tol_residual:
             converged = True
@@ -163,7 +163,6 @@ def solve_joints(model: KinematicModel, targets: dict[str, np.ndarray], q_init,
         # IRLS weights turn the squared surrogate into a majorizer of the
         # sum-of-norms objective, so the step is a true descent direction
         # even when some links already sit on their targets
-        norms = np.sqrt((err * err).sum(axis=1))
         scale = np.repeat(1.0 / np.sqrt(np.maximum(norms, _IRLS_FLOOR)), 3)
         delta = _bounded_damped_step(jac * scale[:, None], resid * scale,
                                      lb, ub, params.damping)
@@ -180,17 +179,17 @@ def solve_joints(model: KinematicModel, targets: dict[str, np.ndarray], q_init,
         while alpha >= _MIN_ALPHA:
             q_try = np.clip(q + alpha * delta, model.lower, model.upper)
             rot_try, trans_try = _fk_arrays(model, q_try)
-            err_try, total_try = objective(rot_try, trans_try)
+            err_try, norms_try = objective(rot_try, trans_try)
             gate = total - _LINESEARCH_SLOPE * alpha * max(predicted, 0.0)
-            if total_try <= gate:
+            if norms_try.sum() <= gate:
                 accepted = True
                 break
             alpha *= 0.5
         if not accepted:
             break
-        q, rot, trans, err, total = q_try, rot_try, trans_try, err_try, total_try
+        q, rot, trans, err, norms = q_try, rot_try, trans_try, err_try, norms_try
 
-    final_residual = total / n_t
+    final_residual = norms.sum() / n_t
     report = SolveReport(iterations=iterations, final_residual=float(final_residual),
                          converged=converged, residual_trace=trace)
     return q, report

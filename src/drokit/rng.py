@@ -15,6 +15,7 @@ label                 operation
 ``object``            object pool sampling / subset / noise
 ``partial``           partial-cloud view direction
 ``trial:<i>``         per-trial configuration draws (round trip)
+``trial:bench``       the configuration timed by ``dro bench``
 ====================  =========================================
 """
 

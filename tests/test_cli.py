@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from drokit import cloud_fk, forward_kinematics, load_model, read_dromx, read_dropc, write_dromx
+from drokit import (cloud_fk, forward_kinematics, load_model, read_dromx, read_dropc,
+                    write_dromx, write_dropc)
 from drokit.cli import main
 
 import hands
@@ -189,6 +190,19 @@ def test_recover_shape_mismatch_fails_fast(assets, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+def test_recover_coplanar_object_exit_data(assets, capsys):
+    out, robot, obj, _, _ = _computed_assets(assets)
+    flat = read_dropc(obj)
+    flat.points[:, 2] = 0.0
+    flat_path = out / "flat.dropc"
+    write_dropc(flat_path, flat)
+    code = run(["--output", out, "recover", out / "dro.dromx", flat_path,
+                "--model", assets["urdf"], "--robot-cloud", robot])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "multilateration" in err and "degenerate" in err
+
+
 # ---------------------------------------------------------------- roundtrip / bench
 
 def test_roundtrip_zero_trials(assets, capsys):
@@ -212,6 +226,15 @@ def test_roundtrip_passes_and_is_deterministic(assets, capsys):
     second = json.loads(capsys.readouterr().out)
     for key in ("mean_link_error_m", "max_link_error_m", "mean_joint_error"):
         assert first[key] == second[key]
+
+
+def test_roundtrip_tolerance_failure_exit_code(assets, capsys):
+    code = run(["--seed", "3", "--output", assets["root"] / "rt4", "roundtrip",
+                "--model", assets["urdf"], "--mesh-dir", assets["mesh_dir"],
+                "--object", assets["object"], "--trials", "1", "--tol-mean", "1e-30",
+                *SMALL])
+    assert code == 4
+    assert json.loads(capsys.readouterr().out)["pass"] is False
 
 
 def test_roundtrip_threads_equivalent(assets, capsys, monkeypatch):

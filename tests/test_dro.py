@@ -3,6 +3,7 @@ import pytest
 
 from drokit import (ContractError, DegeneracyError, PointCloud, compute_dro,
                     multilaterate_point, recover_cloud)
+from drokit.dro import _ROW_CHUNK
 
 from geometry import random_rotation
 
@@ -77,23 +78,23 @@ def test_coincident_points_zero():
     assert compute_dro(pts, pts)[0, 0] == 0.0
 
 
-def test_matches_naive_double_loop_for_all_block_counts():
+def test_matches_naive_double_loop():
     rng = np.random.default_rng(0)
     robot = rng.normal(size=(37, 3))
     obj = rng.normal(size=(29, 3))
-    expected = naive_distance_matrix(robot, obj)
-    for block in (1, 4, 64):
-        mat = compute_dro(robot, obj, block=block)
-        assert np.abs(mat - expected).max() < 1e-12
+    mat = compute_dro(robot, obj)
+    assert np.abs(mat - naive_distance_matrix(robot, obj)).max() < 1e-12
 
 
-def test_block_size_independent_bitwise():
+def test_row_chunks_match_broadcast_bitwise():
+    # chunking the robot rows never changes an entry, on either side of a
+    # chunk boundary, with the scene away from the origin
     rng = np.random.default_rng(1)
-    robot = rng.normal(size=(128, 3))
-    obj = rng.normal(size=(96, 3))
-    base = compute_dro(robot, obj, block=1)
-    for block in (2, 4, 7, 64, 200):
-        assert np.array_equal(compute_dro(robot, obj, block=block), base)
+    obj = rng.normal(scale=0.1, size=(96, 3)) + 10.0
+    for n_r in (1, _ROW_CHUNK - 1, _ROW_CHUNK, _ROW_CHUNK + 1, 2 * _ROW_CHUNK + 7):
+        robot = rng.normal(scale=0.1, size=(n_r, 3)) + 10.0
+        diff = robot[:, None, :] - obj[None, :, :]
+        assert np.array_equal(compute_dro(robot, obj), np.sqrt((diff * diff).sum(axis=2)))
 
 
 def test_accepts_point_clouds_and_validates():
@@ -101,8 +102,6 @@ def test_accepts_point_clouds_and_validates():
     assert compute_dro(cloud, cloud).shape == (2, 2)
     with pytest.raises(ContractError):
         compute_dro(np.zeros((0, 3)), np.zeros((2, 3)))
-    with pytest.raises(ContractError):
-        compute_dro(np.zeros((2, 3)), np.zeros((2, 3)), block=0)
 
 
 # ---------------------------------------------------------------- multilateration

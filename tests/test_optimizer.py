@@ -171,6 +171,27 @@ def test_recover_grasp_robust_to_distance_noise(three_finger):
     assert np.mean(errors) < 5e-3
 
 
+def test_recover_grasp_ignores_cloud_dict_order(three_finger):
+    # the matrix rows come from cloud_fk in model order; attaching the same
+    # clouds in reversed dict order must not relabel them
+    model, _, object_cloud = three_finger
+    canonical = model.canonical_clouds
+    reversed_model = model.with_clouds(dict(reversed(list(canonical.items()))))
+    q_true = _random_grasp(model, substream(21, "trial:0"))
+    posed = cloud_fk(model, q_true, canonical)
+    matrix = compute_dro(posed, object_cloud)
+    q_init = 0.5 * (model.lower + model.upper)
+    q_init[:6] = q_true[:6]
+    result = recover_grasp(reversed_model, matrix, object_cloud, q_init)
+    assert result.recovered_cloud.labels == posed.labels
+    assert np.abs(result.recovered_cloud.points - posed.points).max() < 1e-9
+    fk_true = forward_kinematics(model, q_true)
+    fk_rec = forward_kinematics(model, result.q)
+    assert max(np.linalg.norm(fk_true.translation(l) - fk_rec.translation(l))
+               for l in canonical) < 1e-3
+    assert np.array_equal(result.q, recover_grasp(model, matrix, object_cloud, q_init).q)
+
+
 def test_recover_grasp_deterministic(three_finger):
     model, _, object_cloud = three_finger
     rng = substream(7, "trial:0")
