@@ -47,6 +47,12 @@ TRIAL_WRIST_RANGE = 0.3
 
 _DATA_ERRORS = (DataError, FormatError, DegeneracyError)
 
+# flags and config blocks that fill SamplingConfig and SolveParams; a field
+# left unset by both keeps its dataclass default
+_SAMPLING_FIELDS = ("n_per_link", "n_total", "n_object", "object_noise_sigma",
+                    "object_pool")
+_SOLVE_FIELDS = ("step_bound", "max_iters", "tol_step", "tol_residual", "damping")
+
 
 class ToleranceFailure(DroError):
     pass
@@ -138,17 +144,16 @@ def _mid_range_init(model: KinematicModel, wrist: np.ndarray) -> np.ndarray:
     return q
 
 
+def _given(args, fields) -> dict:
+    return {f: getattr(args, f) for f in fields if getattr(args, f) is not None}
+
+
 def _sampling_config(args, seed: int) -> SamplingConfig:
-    return SamplingConfig(n_per_link=args.n_per_link, n_total=args.n_total,
-                          n_object=args.n_object,
-                          object_noise_sigma=args.noise_sigma,
-                          object_pool=args.object_pool, seed=seed)
+    return SamplingConfig(seed=seed, **_given(args, _SAMPLING_FIELDS))
 
 
 def _solve_params(args) -> SolveParams:
-    return SolveParams(step_bound=args.step_bound, max_iters=args.max_iters,
-                       tol_step=args.tol_step, tol_residual=args.tol_residual,
-                       damping=args.damping)
+    return SolveParams(**_given(args, _SOLVE_FIELDS))
 
 
 def _geometric_links(model: KinematicModel, canonical) -> list[str]:
@@ -421,19 +426,19 @@ _EXPECTED_FILES = {"dro-l1": 2, "contrastive": 3, "pose": 2, "penetration": 2}
 
 
 def _add_sampling_flags(p):
-    p.add_argument("--n-per-link", type=int, default=512)
-    p.add_argument("--n-total", type=int, default=512)
-    p.add_argument("--n-object", type=int, default=512)
-    p.add_argument("--noise-sigma", type=float, default=0.002)
-    p.add_argument("--object-pool", type=int, default=65536)
+    p.add_argument("--n-per-link", type=int)
+    p.add_argument("--n-total", type=int)
+    p.add_argument("--n-object", type=int)
+    p.add_argument("--noise-sigma", type=float, dest="object_noise_sigma")
+    p.add_argument("--object-pool", type=int)
 
 
 def _add_solver_flags(p):
-    p.add_argument("--step-bound", type=float, default=0.5)
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--tol-step", type=float, default=1e-4)
-    p.add_argument("--tol-residual", type=float, default=1e-5)
-    p.add_argument("--damping", type=float, default=1e-6)
+    p.add_argument("--step-bound", type=float)
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--tol-step", type=float)
+    p.add_argument("--tol-residual", type=float)
+    p.add_argument("--damping", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -510,8 +515,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(name: str, value, kind: type):
+    """A config value checked against its expected type; ints pass as floats."""
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise ContractError(f"config {name} must be of type {kind.__name__}, "
+                            f"got {value!r}")
+    return value
+
+
 def _apply_config(args) -> None:
-    """Fill unset args from the JSON config file, validating paths."""
+    """Fill unset args from the JSON config file, validating keys and types."""
     if args.config is None:
         return
     cfg_path = _require_file(args.config, "config file")
@@ -519,23 +534,28 @@ def _apply_config(args) -> None:
         cfg = json.loads(cfg_path.read_text())
     except json.JSONDecodeError as exc:
         raise ContractError(f"config {cfg_path} is not valid JSON: {exc}") from exc
+    cfg = _config_value(str(cfg_path), cfg, dict)
     mapping = {
-        "model_path": "model", "mesh_dir": "mesh_dir", "object_path": "object",
-        "seed": "seed", "output_dir": "output",
+        "model_path": ("model", str), "mesh_dir": ("mesh_dir", str),
+        "object_path": ("object", str), "seed": ("seed", int),
+        "output_dir": ("output", str),
     }
-    for key, attr in mapping.items():
-        if key in cfg and getattr(args, attr, None) is None:
-            setattr(args, attr, cfg[key])
-    for section, keys in (("sampling", ("n_per_link", "n_total", "n_object",
-                                        "object_noise_sigma", "object_pool")),
-                          ("solve", ("step_bound", "max_iters", "tol_step",
-                                     "tol_residual", "damping"))):
-        for key in cfg.get(section, {}):
+    for key, (attr, kind) in mapping.items():
+        if key in cfg:
+            value = _config_value(key, cfg[key], kind)
+            if getattr(args, attr, None) is None:
+                setattr(args, attr, value)
+    # the dataclass defaults give each field its type
+    for section, defaults, keys in (("sampling", SamplingConfig, _SAMPLING_FIELDS),
+                                    ("solve", SolveParams, _SOLVE_FIELDS)):
+        block = _config_value(section, cfg.get(section, {}), dict)
+        for key, value in block.items():
             if key not in keys:
                 raise ContractError(f"config {section}.{key} is not a known field")
-            attr = "noise_sigma" if key == "object_noise_sigma" else key
-            if hasattr(args, attr):
-                setattr(args, attr, cfg[section][key])
+            value = _config_value(f"{section}.{key}", value,
+                                  type(getattr(defaults, key)))
+            if hasattr(args, key) and getattr(args, key) is None:
+                setattr(args, key, value)
 
 
 def _exit_code(exc: Exception) -> int:
@@ -557,7 +577,11 @@ def main(argv=None) -> int:
             args.output = "."
         env_threads = os.environ.get("DRO_THREADS")
         if env_threads is not None:
-            args.threads = int(env_threads)
+            try:
+                args.threads = int(env_threads)
+            except ValueError:
+                raise ContractError(f"DRO_THREADS must be an integer, "
+                                    f"got {env_threads!r}") from None
         elif args.threads is None:
             args.threads = 1
         if args.threads < 1:

@@ -4,8 +4,11 @@ The distance matrix stores the Euclidean distance between every robot point
 and every object point.  Any such matrix, together with the object cloud it
 was measured against, determines the robot cloud: each row is a set of
 range measurements to known reference points, solved by a linearized
-least-squares step plus a short Gauss-Newton polish on the squared-range
-residuals.
+least-squares step plus a Gauss-Newton polish on the squared-range
+residuals.  The polish runs until its largest step over all rows is below
+``_STEP_TOL`` (at most ``_MAX_STEPS`` steps); the matrix stops as a whole,
+so a row that has already converged may still move by less than the
+tolerance while the others finish.
 
 All rows share one SVD of the object-side linear system: it checks the
 references for degeneracy and gives the pseudo-inverse of the closed-form
@@ -22,6 +25,8 @@ from .cloud import PointCloud
 from .errors import ContractError, DegeneracyError
 
 CONDITION_LIMIT = 1e10
+_STEP_TOL = 1e-8  # m; the refine stops once no row moves further than this
+_MAX_STEPS = 10  # refine cap; the iterate reached there is returned as is
 _ROW_CHUNK = 64  # bounds the (rows x object points) distance temporary
 
 
@@ -74,14 +79,18 @@ def _reference_system(obj: np.ndarray) -> np.ndarray:
     return (vt.T / sv) @ u.T  # (4, N_O)
 
 
-def _multilaterate_rows(dist: np.ndarray, obj: np.ndarray, refine_steps: int) -> np.ndarray:
+def _multilaterate_rows(dist: np.ndarray, obj: np.ndarray) -> np.ndarray:
     """Solve every row of a distance matrix against shared references.
 
     Closed-form step: with s = ||p||^2 the range equations become linear,
     -2 p_j . p + s = d_j^2 - ||p_j||^2, solved for all rows at once with the
     pseudo-inverse from the SVD that ``_reference_system`` also uses for its
     condition check.  Gauss-Newton steps on f_j(p) = ||p - p_j||^2 - d_j^2
-    then remove the linearization bias.
+    then remove the linearization bias, until the largest step coordinate
+    over the whole matrix is below ``_STEP_TOL`` or ``_MAX_STEPS`` steps
+    have run.  An exact matrix stops after one step; every row takes the
+    same number of steps, so a row's result can still move by less than the
+    tolerance along with the rest of the matrix.
 
     The refine runs in moment form in the object's centroid frame
     (o_j = p_j - mean, q = p - mean, so sum_j o_j = 0):
@@ -101,7 +110,7 @@ def _multilaterate_rows(dist: np.ndarray, obj: np.ndarray, refine_steps: int) ->
     moment = o.T @ o
     n = len(obj)
     q = solution[:, :3] - centroid
-    for _ in range(refine_steps):
+    for _ in range(_MAX_STEPS):
         f = q @ o.T  # (rows, N_O)
         f *= -2.0
         f += (q * q).sum(axis=1)[:, None]
@@ -117,6 +126,8 @@ def _multilaterate_rows(dist: np.ndarray, obj: np.ndarray, refine_steps: int) ->
             row = bad[0] if bad else 0
             raise DegeneracyError(f"refinement normal equations singular at row {row}")
         q = q - step
+        if np.max(np.abs(step), initial=0.0) < _STEP_TOL:
+            break
     p = q + centroid
     if not np.all(np.isfinite(p)):
         row = int(np.flatnonzero(~np.isfinite(p).all(axis=1))[0])
@@ -124,7 +135,7 @@ def _multilaterate_rows(dist: np.ndarray, obj: np.ndarray, refine_steps: int) ->
     return p
 
 
-def multilaterate_point(distances, object_cloud, refine_steps: int = 3) -> np.ndarray:
+def multilaterate_point(distances, object_cloud) -> np.ndarray:
     """Position of one point from its distances to all object points."""
     obj = _points_of(object_cloud)
     d = np.asarray(distances, dtype=float)
@@ -132,7 +143,7 @@ def multilaterate_point(distances, object_cloud, refine_steps: int = 3) -> np.nd
         raise ContractError(f"distances shape {d.shape} does not match "
                             f"{len(obj)} reference points")
     _validate_distances(d)
-    return _multilaterate_rows(d[None, :], obj, refine_steps)[0]
+    return _multilaterate_rows(d[None, :], obj)[0]
 
 
 def _validate_distances(d: np.ndarray):
@@ -142,11 +153,13 @@ def _validate_distances(d: np.ndarray):
         raise ContractError("distance matrix contains negative entries")
 
 
-def recover_cloud(dro: np.ndarray, object_cloud, labels=None,
-                  refine_steps: int = 3) -> PointCloud:
+def recover_cloud(dro: np.ndarray, object_cloud, labels=None) -> PointCloud:
     """Row-wise multilateration of a full distance matrix.
 
-    Rows are independent; the output carries the provided link labels.
+    Rows are solved independently but refined together: the polish stops
+    when no row moves by ``_STEP_TOL`` or more, so a row's result depends
+    on the rest of the matrix by less than that tolerance.  The output
+    carries the provided link labels.
     """
     obj = _points_of(object_cloud)
     dro = np.asarray(dro, dtype=float)
@@ -156,5 +169,5 @@ def recover_cloud(dro: np.ndarray, object_cloud, labels=None,
         raise ContractError(f"matrix has {dro.shape[1]} columns but object cloud "
                             f"has {len(obj)} points")
     _validate_distances(dro)
-    pts = _multilaterate_rows(dro, obj, refine_steps)
+    pts = _multilaterate_rows(dro, obj)
     return PointCloud(pts, list(labels) if labels is not None else None)

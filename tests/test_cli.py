@@ -252,11 +252,13 @@ def test_roundtrip_threads_equivalent(assets, capsys, monkeypatch):
 
 
 def test_bench_multilateration_time_monotone_in_object_size(assets, capsys):
+    # multilateration cost grows with the object cloud; at 1-3 ms a call,
+    # medians of 15 runs keep a few-ms host stall from reordering them
     medians = []
     for n_obj in (128, 256, 512):
         code = run(["--output", assets["root"] / "bench", "bench",
                     "--model", assets["urdf"], "--mesh-dir", assets["mesh_dir"],
-                    "--object", assets["object"], "--runs", "5", "--warmup", "1",
+                    "--object", assets["object"], "--runs", "15", "--warmup", "1",
                     "--n-object", n_obj])
         assert code == 0
         medians.append(json.loads(capsys.readouterr().out)["multilateration"]["median_s"])
@@ -356,6 +358,53 @@ def test_explicit_flags_beat_config(assets, capsys):
     assert code == 0
     assert (override / "robot_canonical.dropc").is_file()
     assert not (assets["root"] / "cfg_out2").exists()
+
+
+def test_explicit_sampling_flag_beats_config_block(assets, capsys):
+    cfg_path = assets["root"] / "sampling.json"
+    cfg_path.write_text(json.dumps({"sampling": {"n_object": 32, "n_total": 96}}))
+    out = assets["root"] / "s_out"
+    code = run(["--config", cfg_path, "--output", out, "sample",
+                "--model", assets["urdf"], "--mesh-dir", assets["mesh_dir"],
+                "--object", assets["object"], "--n-per-link", "64", "--n-object", "48"])
+    assert code == 0
+    assert len(read_dropc(out / "object.dropc")) == 48  # the flag
+    assert len(read_dropc(out / "robot_canonical.dropc")) == 96  # the config
+
+
+def test_explicit_solver_flag_beats_config_block(assets, capsys):
+    out, robot, obj, _, _ = _computed_assets(assets)
+    cfg_path = assets["root"] / "solve.json"
+    cfg_path.write_text(json.dumps({"solve": {"max_iters": 1}}))
+    args = ["--config", cfg_path, "--output", out, "recover", out / "dro.dromx", obj,
+            "--model", assets["urdf"], "--robot-cloud", robot]
+    assert run(args) == 0
+    assert json.loads((out / "recover_result.json").read_text())["iterations"] == 1
+    assert run(args + ["--max-iters", "100"]) == 0
+    assert json.loads((out / "recover_result.json").read_text())["iterations"] > 1
+
+
+@pytest.mark.parametrize("cfg", [{"sampling": {"n_object": "x"}},
+                                 {"solve": {"max_iters": "7"}},
+                                 {"seed": "abc"}],
+                         ids=["sampling", "solve", "seed"])
+def test_config_value_of_wrong_type_rejected(assets, capsys, cfg):
+    cfg_path = assets["root"] / "typed.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = run(["--config", cfg_path, "--output", assets["root"] / "t_out", "bench",
+                "--model", assets["urdf"], "--mesh-dir", assets["mesh_dir"],
+                "--object", assets["object"], "--runs", "1", "--warmup", "0", *SMALL])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_malformed_thread_count_env_rejected(assets, capsys, monkeypatch):
+    monkeypatch.setenv("DRO_THREADS", "abc")
+    code = run(["--output", assets["root"] / "rt3", "roundtrip", "--model", assets["urdf"],
+                "--mesh-dir", assets["mesh_dir"], "--object", assets["object"],
+                "--trials", "1", *SMALL])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: DRO_THREADS")
 
 
 def test_config_unknown_key_rejected(assets, capsys):

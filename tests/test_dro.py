@@ -279,3 +279,17 @@ def test_far_object_recovery_keeps_precision():
     noisy = np.abs(exact + rng.normal(0.0, 1e-3, size=exact.shape))
     rec = recover_cloud(noisy, obj)
     assert np.abs(rec.points - direct_gauss_newton(noisy, obj)).max() < 1e-9
+
+
+def test_recover_cloud_refines_until_converged():
+    # grasp-like geometry with large range noise: Gauss-Newton converges
+    # linearly here, and a fixed three steps stop short of the least-squares
+    # point that thirty steps reach
+    rng = np.random.default_rng(16)
+    obj = random_references(rng, 512, scale=0.04)
+    robot = rng.normal(scale=0.1, size=(256, 3))
+    exact = compute_dro(robot, obj)
+    for sigma in (1e-2, 2e-2):
+        noisy = np.abs(exact + rng.normal(0.0, sigma, size=exact.shape))
+        rec = recover_cloud(noisy, obj)
+        assert np.abs(rec.points - direct_gauss_newton(noisy, obj, steps=30)).max() < 1e-9
