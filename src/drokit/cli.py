@@ -540,6 +540,9 @@ def _apply_config(args) -> None:
         "object_path": ("object", str), "seed": ("seed", int),
         "output_dir": ("output", str),
     }
+    for key in cfg:
+        if key not in mapping and key not in ("sampling", "solve"):
+            raise ContractError(f"config {key} is not a known key")
     for key, (attr, kind) in mapping.items():
         if key in cfg:
             value = _config_value(key, cfg[key], kind)

@@ -163,8 +163,13 @@ def save_obj(mesh: TriangleMesh, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def sample_mesh_surface(mesh: TriangleMesh, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Area-weighted uniform surface samples with barycentric jitter."""
+def _surface_points(mesh: TriangleMesh, draws: np.ndarray) -> np.ndarray:
+    """Area-weighted surface points for (3, n) uniform draws: the rows pick
+    the triangle, u and v.
+
+    Each point depends on its own column only, so evaluating a subset of
+    columns gives bitwise the same points as evaluating all of them.
+    """
     if len(mesh.triangles) == 0:
         raise DataError("mesh has no triangles to sample")
     areas = mesh.areas()
@@ -172,17 +177,20 @@ def sample_mesh_surface(mesh: TriangleMesh, n: int, rng: np.random.Generator) ->
     if total <= 0.0:
         raise DataError("mesh has zero total surface area")
     cdf = np.cumsum(areas) / total
-    pick = np.searchsorted(cdf, rng.random(n), side="right")
+    pick = np.searchsorted(cdf, draws[0], side="right")
     pick = np.minimum(pick, len(areas) - 1)
-    corners = mesh.corners()[pick]
-    u = rng.random(n)
-    v = rng.random(n)
-    flip = u + v > 1.0
-    u[flip] = 1.0 - u[flip]
-    v[flip] = 1.0 - v[flip]
+    flip = draws[1] + draws[2] > 1.0
+    u = np.where(flip, 1.0 - draws[1], draws[1])
+    v = np.where(flip, 1.0 - draws[2], draws[2])
+    corners = mesh.vertices[mesh.triangles[pick]]
     return (corners[:, 0]
             + u[:, None] * (corners[:, 1] - corners[:, 0])
             + v[:, None] * (corners[:, 2] - corners[:, 0]))
+
+
+def sample_mesh_surface(mesh: TriangleMesh, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Area-weighted uniform surface samples with barycentric jitter."""
+    return _surface_points(mesh, rng.random((3, n)))
 
 
 def _greedy_fps(points: np.ndarray, k: int, initial: list[int]) -> list[int]:
@@ -190,15 +198,31 @@ def _greedy_fps(points: np.ndarray, k: int, initial: list[int]) -> list[int]:
 
     Each added index maximizes the minimum Euclidean distance to the chosen
     set; ties break to the lowest index (np.argmax picks the first maximum).
+    Distances are ``sqrt((dx² + dy²) + dz²)``, the order ``np.linalg.norm``
+    sums in, computed over a (3, N) copy in buffers reused for every pick.
+    The sqrt stays: comparing squared distances could break a tie that only
+    appears after rounding to a different index.
     """
-    chosen = list(initial)
+    pts = np.ascontiguousarray(points.T)
     dist = np.full(len(points), np.inf)
+    diff = np.empty_like(pts)
+    d = np.empty_like(dist)
+
+    def update(i):
+        np.subtract(pts, pts[:, i:i + 1], out=diff)
+        np.square(diff, out=diff)
+        np.add(diff[0], diff[1], out=d)
+        np.add(d, diff[2], out=d)
+        np.sqrt(d, out=d)
+        np.minimum(dist, d, out=dist)
+
+    chosen = list(initial)
     for i in chosen:
-        dist = np.minimum(dist, np.linalg.norm(points - points[i], axis=1))
+        update(i)
     while len(chosen) < k:
         nxt = int(np.argmax(dist))
         chosen.append(nxt)
-        dist = np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1))
+        update(nxt)
     return chosen
 
 
@@ -290,13 +314,16 @@ def cloud_fk(model: KinematicModel, q, canonical: dict[str, np.ndarray]) -> Poin
 
 def sample_object_cloud(mesh: TriangleMesh, cfg: SamplingConfig) -> PointCloud:
     """Object cloud: draw ``n_object`` points without replacement from an
-    ``object_pool``-sized surface pool, then add isotropic Gaussian noise."""
+    ``object_pool``-sized surface pool, then add isotropic Gaussian noise.
+
+    The whole pool is drawn, so the rng stream is the same as sampling it,
+    but only the kept draws are turned into points."""
     if cfg.n_object > cfg.object_pool:
         raise ContractError("n_object exceeds object_pool")
     rng = substream(cfg.seed, "object")
-    pool = sample_mesh_surface(mesh, cfg.object_pool, rng)
+    draws = rng.random((3, cfg.object_pool))
     pick = rng.choice(cfg.object_pool, size=cfg.n_object, replace=False)
-    pts = pool[pick]
+    pts = _surface_points(mesh, draws[:, pick])
     if cfg.object_noise_sigma > 0.0:
         pts = pts + rng.normal(0.0, cfg.object_noise_sigma, size=pts.shape)
     return PointCloud(pts)

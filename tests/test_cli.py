@@ -413,3 +413,11 @@ def test_config_unknown_key_rejected(assets, capsys):
     code = run(["--config", cfg_path, "sample", "--model", assets["urdf"],
                 "--mesh-dir", assets["mesh_dir"]])
     assert code == 2
+
+
+def test_config_unknown_top_level_key_rejected(assets, capsys):
+    cfg_path = assets["root"] / "typo.json"
+    cfg_path.write_text(json.dumps({"modle_path": str(assets["urdf"]), "sed": 3}))
+    code = run(["--config", cfg_path, "sample", "--mesh-dir", assets["mesh_dir"]])
+    assert code == 2
+    assert "modle_path" in capsys.readouterr().err

@@ -8,6 +8,7 @@ from drokit import (ContractError, DataError, PointCloud, SamplingConfig,
                     load_model, load_obj, partial_cloud, sample_link_clouds,
                     sample_mesh_surface, sample_object_cloud, save_obj,
                     signed_distances)
+from drokit.cloud import MIN_POINTS_PER_LINK
 from drokit.rng import substream
 
 import hands
@@ -25,6 +26,33 @@ def reference_fps(points, k, start):
                 best_dist, best_idx = d, i
         chosen.append(best_idx)
     return chosen
+
+
+def norm_fps(points, k, initial):
+    """The same greedy recurrence, vectorised with np.linalg.norm."""
+    chosen = list(initial)
+    dist = np.full(len(points), np.inf)
+    for i in chosen:
+        dist = np.minimum(dist, np.linalg.norm(points - points[i], axis=1))
+    while len(chosen) < k:
+        chosen.append(int(np.argmax(dist)))
+        dist = np.minimum(dist, np.linalg.norm(points - points[chosen[-1]], axis=1))
+    return chosen
+
+
+def norm_link_clouds(model, meshes, cfg):
+    """sample_link_clouds rebuilt from public parts and norm_fps."""
+    links = [l for l in model.links if l in meshes]
+    n = cfg.n_per_link
+    blocks = [sample_mesh_surface(meshes[l], n, substream(cfg.seed, f"link:{l}"))
+              for l in links]
+    reserve = min(MIN_POINTS_PER_LINK, n)
+    initial = [bi * n + i for bi, block in enumerate(blocks)
+               for i in norm_fps(block, reserve, [0])]
+    allpts = np.vstack(blocks)
+    keep = np.sort(norm_fps(allpts, cfg.n_total, initial))
+    return {l: allpts[keep[(keep >= bi * n) & (keep < (bi + 1) * n)]]
+            for bi, l in enumerate(links)}
 
 
 # ---------------------------------------------------------------- PointCloud
@@ -123,6 +151,41 @@ def test_fps_matches_reference_recurrence():
         start = int(substream(seed, "fps").integers(len(pts)))
         assert farthest_point_sampling(pts, 12, seed=seed) == \
             reference_fps(pts, 12, start)
+
+
+def _assert_fps_matches_norm(pts, k):
+    for seed in (0, 1, 2):
+        start = int(substream(seed, "fps").integers(len(pts)))
+        assert farthest_point_sampling(pts, k, seed=seed) == norm_fps(pts, k, [start])
+
+
+def test_fps_matches_norm_recurrence_far_from_origin():
+    # a scene 10 m out: the coordinate differences lose most of their
+    # digits to cancellation before they are squared
+    pts = np.random.default_rng(34).random((4000, 3)) + 10.0
+    _assert_fps_matches_norm(pts, 512)
+
+
+@pytest.mark.parametrize("spacing", [1.0, 0.1])
+def test_fps_matches_norm_recurrence_on_grid(spacing):
+    # spacing 1: exact distance ties everywhere, the lowest index must win
+    # each one; spacing 0.1: true ties that rounding splits or merges, so
+    # another summation order or squared distances pick other points
+    grid = np.stack(np.meshgrid(*[np.arange(7.0)] * 3, indexing="ij"), -1)
+    pts = spacing * grid.reshape(-1, 3)
+    _assert_fps_matches_norm(pts, len(pts))
+
+
+@pytest.mark.parametrize("hand", ["three_finger_hand", "five_finger_hand"])
+def test_link_clouds_match_norm_recurrence(hand):
+    urdf, meshes = getattr(hands, hand)()
+    model = load_model(urdf)
+    cfg = SamplingConfig(seed=7)
+    clouds = sample_link_clouds(model, meshes, cfg)
+    expected = norm_link_clouds(model, meshes, cfg)
+    assert list(clouds) == list(expected)
+    for link in clouds:
+        assert np.array_equal(clouds[link], expected[link])
 
 
 def test_fps_k_out_of_range():
@@ -298,6 +361,22 @@ def test_object_cloud_deterministic():
     a = sample_object_cloud(mesh, cfg)
     b = sample_object_cloud(mesh, cfg)
     assert np.array_equal(a.points, b.points)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(object_noise_sigma=0.002),
+    dict(object_noise_sigma=0.0),
+    dict(n_object=300, object_pool=300),
+])
+def test_object_cloud_equals_full_pool_construction(overrides):
+    mesh = icosphere(radius=0.05)
+    cfg = SamplingConfig(seed=13, **overrides)
+    rng = substream(cfg.seed, "object")
+    pool = sample_mesh_surface(mesh, cfg.object_pool, rng)
+    pts = pool[rng.choice(cfg.object_pool, size=cfg.n_object, replace=False)]
+    if cfg.object_noise_sigma > 0.0:
+        pts = pts + rng.normal(0.0, cfg.object_noise_sigma, size=pts.shape)
+    assert np.array_equal(sample_object_cloud(mesh, cfg).points, pts)
 
 
 def test_object_cloud_pool_bound():
