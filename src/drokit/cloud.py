@@ -260,14 +260,12 @@ def sample_link_clouds(model: KinematicModel, meshes: dict[str, TriangleMesh],
                             f"points for each of {len(geo_links)} links")
 
     blocks = []
-    labels = []
     for link in geo_links:
         mesh = meshes[link]
         if len(mesh.triangles) == 0:
             raise DataError(f"link '{link}' has an empty mesh")
         pts = sample_mesh_surface(mesh, cfg.n_per_link, substream(cfg.seed, f"link:{link}"))
         blocks.append(pts)
-        labels.extend([link] * cfg.n_per_link)
     allpts = np.vstack(blocks)
 
     # reserve a local farthest-point core per link, then fill globally

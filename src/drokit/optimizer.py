@@ -74,6 +74,7 @@ class GraspResult:
             "residual": self.report.final_residual,
             "iterations": self.report.iterations,
             "converged": self.report.converged,
+            "fallback_links": sorted(self.link_poses.fallback_links),
             "elapsed": dict(self.elapsed),
         }
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -225,9 +227,25 @@ def test_result_json_schema(three_finger):
     q_init[:6] = q_true[:6]
     result = recover_grasp(model, matrix, object_cloud, q_init)
     doc = result.to_json_dict()
-    assert set(doc) == {"q", "residual", "iterations", "converged", "elapsed"}
+    assert set(doc) == {"q", "residual", "iterations", "converged", "fallback_links",
+                        "elapsed"}
     assert set(doc["elapsed"]) == {"multilateration", "registration", "optimization"}
     assert len(doc["q"]) == model.n_dof
+
+
+def test_result_json_lists_fallback_links(three_finger):
+    model, _, object_cloud = three_finger
+    canonical = dict(model.canonical_clouds)
+    m = len(canonical["f1_seg2"])
+    canonical["f1_seg2"] = np.outer(np.linspace(0.0, 0.03, m), [1.0, 0.0, 0.0])
+    model = model.with_clouds(canonical)
+    q_true = _random_grasp(model, substream(12, "trial:0"))
+    matrix = compute_dro(cloud_fk(model, q_true, canonical), object_cloud)
+    q_init = 0.5 * (model.lower + model.upper)
+    q_init[:6] = q_true[:6]
+    doc = recover_grasp(model, matrix, object_cloud, q_init).to_json_dict()
+    assert doc["fallback_links"] == ["f1_seg2"]
+    assert json.loads(json.dumps(doc))["fallback_links"] == ["f1_seg2"]
 
 
 def test_targets_extend_through_fixed_joints(three_finger):

@@ -102,11 +102,78 @@ def test_collinear_points_degenerate_and_named():
 
 # ---------------------------------------------------------------- register_all
 
-def _hand_setup(seed=1):
-    urdf, meshes = hands.three_finger_hand()
+def _hand_setup(seed=1, builder=hands.three_finger_hand):
+    urdf, meshes = builder()
     model = load_model(urdf)
     canonical = sample_link_clouds(model, meshes, SamplingConfig(seed=seed))
     return model, canonical
+
+
+def per_link_oracle(canonical_points, predicted_points):
+    """One link at a time: (a - ca)^T (b - cb), its SVD, then the det flip.
+    Returns (rotation, translation, whether the flip was applied)."""
+    a = np.asarray(canonical_points, dtype=float)
+    b = np.asarray(predicted_points, dtype=float)
+    ca, cb = a.mean(axis=0), b.mean(axis=0)
+    u, _, vt = np.linalg.svd((a - ca).T @ (b - cb))
+    v = vt.T.copy()
+    flipped = np.linalg.det(v @ u.T) < 0.0
+    if flipped:
+        v[:, -1] = -v[:, -1]
+    rot = v @ u.T
+    return rot, cb - rot @ ca, flipped
+
+
+def _random_q(model, rng):
+    q = rng.uniform(model.lower, model.upper)
+    q[:3] = rng.uniform(-0.3, 0.3, 3)
+    return q
+
+
+def _assert_matches_oracle(canonical, recovered):
+    poses = register_all(canonical, recovered)
+    flips = 0
+    for link, pred in recovered.by_link().items():
+        rot, x, flipped = per_link_oracle(canonical[link], pred)
+        flips += flipped
+        assert np.abs(poses.rotation(link) - rot).max() < 1e-12, link
+        assert np.abs(poses.translation(link) - x).max() < 1e-12, link
+    assert not poses.fallback_links
+    return flips
+
+
+@pytest.mark.parametrize("builder", [hands.three_finger_hand, hands.five_finger_hand])
+@pytest.mark.parametrize("sigma", [0.0, 1e-3])
+def test_register_all_matches_per_link_oracle(builder, sigma):
+    model, canonical = _hand_setup(builder=builder)
+    rng = np.random.default_rng(8)
+    reversed_order = dict(reversed(list(canonical.items())))
+    for _ in range(10):
+        recovered = cloud_fk(model, _random_q(model, rng), canonical)
+        noisy = PointCloud(recovered.points + rng.normal(0.0, sigma, recovered.points.shape),
+                           recovered.labels)
+        _assert_matches_oracle(canonical, noisy)
+        _assert_matches_oracle(reversed_order, noisy)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-3])
+def test_register_all_matches_oracle_with_planar_links(sigma):
+    """Planar canonical links often need the reflection fix; each link must
+    get it from its own determinant, whatever the other links in the call."""
+    model, canonical = _hand_setup(builder=hands.five_finger_hand)
+    canonical = dict(canonical)
+    for link in list(canonical)[::2]:
+        pts = canonical[link].copy()
+        pts[:, 2] = pts[:, 2].mean()
+        canonical[link] = pts
+    rng = np.random.default_rng(9)
+    flips = 0
+    for _ in range(10):
+        recovered = cloud_fk(model, _random_q(model, rng), canonical)
+        noisy = PointCloud(recovered.points + rng.normal(0.0, sigma, recovered.points.shape),
+                           recovered.labels)
+        flips += _assert_matches_oracle(canonical, noisy)
+    assert flips > 0
 
 
 def test_register_all_recovers_fk_poses():
@@ -157,6 +224,41 @@ def test_collinear_link_falls_back_and_flags():
     assert np.abs(poses.rotation("f1_seg1") - fk.rotation("f1_seg1")).max() < 1e-8
     # fallback rotation comes from the registered parent
     assert np.abs(poses.rotation("f1_seg2") - poses.rotation("f1_seg1")).max() < 1e-12
+
+
+def test_collinear_chain_inherits_grandparent_rotation():
+    model, canonical = _hand_setup()
+    canonical = dict(canonical)
+    for link in ("f1_seg1", "f1_seg2"):
+        m = len(canonical[link])
+        canonical[link] = np.outer(np.linspace(0.0, 0.03, m), [1.0, 0.0, 0.0])
+    rng = np.random.default_rng(10)
+    q = _random_q(model, rng)
+    recovered = cloud_fk(model, q, canonical)
+    parents = {link: model.parent_link(link) for link in model.links}
+    poses = register_all(canonical, recovered, parents)
+    assert poses.fallback_links == {"f1_seg1", "f1_seg2"}
+    assert parents["f1_seg1"] == "f1_seg0"
+    grandparent = poses.rotation("f1_seg0")
+    fk = forward_kinematics(model, q)
+    assert np.abs(grandparent - fk.rotation("f1_seg0")).max() < 1e-8
+    assert np.array_equal(poses.rotation("f1_seg1"), grandparent)
+    assert np.array_equal(poses.rotation("f1_seg2"), grandparent)
+    recovered_by_link = recovered.by_link()
+    for link in ("f1_seg1", "f1_seg2"):
+        # translation: the centroids under the inherited rotation
+        x = recovered_by_link[link].mean(axis=0) - grandparent @ canonical[link].mean(axis=0)
+        assert np.abs(poses.translation(link) - x).max() < 1e-12
+
+
+def test_register_all_two_point_link_raises_not_falls_back():
+    model, canonical = _hand_setup()
+    canonical = dict(canonical)
+    canonical["f2_seg1"] = canonical["f2_seg1"][:2]
+    recovered = cloud_fk(model, np.zeros(model.n_dof), canonical)
+    parents = {link: model.parent_link(link) for link in model.links}
+    with pytest.raises(ContractError, match="f2_seg1"):
+        register_all(canonical, recovered, parents)
 
 
 def test_register_all_label_mismatch():
