@@ -40,11 +40,11 @@ class _Reader:
         self.off = 0
         self.what = what
 
-    def take(self, n: int, desc: str) -> bytes:
+    def take(self, n: int, desc: str) -> memoryview:
         if self.off + n > len(self.data):
             raise FormatError(f"{self.what}: truncated while reading {desc} "
                               f"at byte offset {self.off}")
-        chunk = self.data[self.off:self.off + n]
+        chunk = memoryview(self.data)[self.off:self.off + n]  # a view, not a copy
         self.off += n
         return chunk
 

@@ -14,6 +14,13 @@ transform is a translation by (x, y, z) followed by the rotation
 Every leaf link of the source URDF additionally receives a fixed-offset
 virtual extension link along the parent's local +x axis, so translation-only
 link targets still constrain fingertip orientation.
+
+Forward kinematics has one rule for every link: its world pose is its
+parent's world pose, then its joint origin, then its joint motion.  The
+motion of all links comes from one expression, a rotation exp(theta K) by
+the revolute value theta and a shift d * axis by the prismatic value d, with
+theta and d zero where they do not apply, so a fixed joint moves by the
+identity.
 """
 
 from __future__ import annotations
@@ -67,18 +74,6 @@ def rpy_from_matrix(rot: np.ndarray) -> tuple[float, float, float]:
         roll = math.atan2(-rot[1, 2], rot[1, 1])
         yaw = 0.0
     return roll, pitch, yaw
-
-
-def axis_angle_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues rotation about a unit axis."""
-    x, y, z = axis
-    c, s = math.cos(angle), math.sin(angle)
-    t = 1.0 - c
-    return np.array([
-        [t * x * x + c, t * x * y - s * z, t * x * z + s * y],
-        [t * x * y + s * z, t * y * y + c, t * y * z - s * x],
-        [t * x * z - s * y, t * y * z + s * x, t * z * z + c],
-    ])
 
 
 @dataclass(frozen=True)
@@ -235,6 +230,10 @@ class KinematicModel:
                 self._kind[i] = 2
             if j.movable:
                 self._dof[i] = self.dof_index[j.name]
+
+        # per-link K (K v = axis x v, so row r of K is e_r x axis) and axis axis^T
+        self._skew = np.cross(np.eye(3), self._axis[:, None, :])
+        self._outer = self._axis[:, :, None] * self._axis[:, None, :]
 
         # dofs on the root->link path, as a boolean mask per link
         self._path_mask = np.zeros((n, self.n_dof), dtype=bool)
@@ -483,30 +482,24 @@ def as_config(model: KinematicModel, q) -> np.ndarray:
 
 
 def _fk_arrays(model: KinematicModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """World rotation (L,3,3) and translation (L,3) per link, in link order."""
-    n = len(model.links)
-    rot = np.empty((n, 3, 3))
-    trans = np.empty((n, 3))
-    for i in range(n):
-        p = model._parent[i]
-        if p < 0:
-            parent_rot = None
-            jr = model._origin_rot[i]
-            jt = model._origin_trans[i]
-        else:
-            parent_rot = rot[p]
-            jr = parent_rot @ model._origin_rot[i]
-            jt = parent_rot @ model._origin_trans[i] + trans[p]
-        kind = model._kind[i]
-        if kind == 0:
-            rot[i] = jr
-            trans[i] = jt
-        elif kind == 1:
-            rot[i] = jr @ axis_angle_matrix(model._axis[i], q[model._dof[i]])
-            trans[i] = jt
-        else:
-            rot[i] = jr
-            trans[i] = jt + jr @ (model._axis[i] * q[model._dof[i]])
+    """World rotation (L,3,3) and translation (L,3) per link, in link order.
+
+    Each link is its parent frame, then its joint origin, then its joint
+    motion: the rotation exp(theta K) = cos(theta) I + sin(theta) K
+    + (1 - cos(theta)) a a^T and the shift d a along the unit axis a.
+    """
+    value = q[model._dof]  # fixed links (_dof = -1) read q's last entry; masked out next
+    theta = np.where(model._kind == 1, value, 0.0)[:, None, None]
+    shift = np.where(model._kind == 2, value, 0.0)[:, None] * model._axis
+    c = np.cos(theta)
+    motion = c * np.eye(3) + np.sin(theta) * model._skew + (1.0 - c) * model._outer
+    # local poses, then composed in place with the parent's world pose
+    rot = model._origin_rot @ motion
+    trans = model._origin_trans + (model._origin_rot @ shift[:, :, None])[:, :, 0]
+    for i, p in enumerate(model._parent.tolist()):
+        if p >= 0:  # a root's world pose is its local pose
+            trans[i] = rot[p] @ trans[i] + trans[p]
+            rot[i] = rot[p] @ rot[i]
     return rot, trans
 
 

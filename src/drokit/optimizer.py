@@ -104,7 +104,7 @@ def _bounded_damped_step(jac: np.ndarray, resid: np.ndarray, lb: np.ndarray,
         free &= ~newly_active
         if not free.any():
             break
-    return np.clip(delta, lb, ub)
+    return delta
 
 
 def solve_joints(model: KinematicModel, targets: dict[str, np.ndarray], q_init,

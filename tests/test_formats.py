@@ -140,3 +140,13 @@ def test_dromx_many_random_round_trips():
         back = decode_dromx(data)
         assert np.array_equal(back, mat)
         assert encode_dromx(back, dtype) == data
+
+
+@pytest.mark.parametrize("dtype, numpy_dtype", [("f64", np.float64), ("f32", np.float32)])
+def test_dromx_decoded_matrix_owns_its_memory(dtype, numpy_dtype):
+    mat = np.arange(12.0, dtype=numpy_dtype).reshape(3, 4)
+    data = bytearray(encode_dromx(mat, dtype))
+    back = decode_dromx(data)
+    data[19:] = b"\xff" * (len(data) - 19)  # overwrite the whole payload
+    assert np.array_equal(back, mat)
+    assert back.flags.writeable and back.flags.owndata

@@ -1,11 +1,15 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import drokit
 from drokit import (ContractError, StructureError, UrdfError, clamp_to_limits,
                     forward_kinematics, in_limits, link_origin_jacobian,
                     load_model, matrix_from_rpy, model_summary, rpy_from_matrix)
+from drokit.kinematics import PRISMATIC, VIRTUAL_PRISMATIC
 
 import hands
 
@@ -39,6 +43,28 @@ def hand_composed_planar_pose(q_shoulder, q_elbow):
         return t
 
     return rot_z(q_shoulder) @ trans_x(1.0) @ rot_z(q_elbow)
+
+
+def homogeneous_reference_fk(model, q):
+    """World 4x4 transform per link, composed joint by joint from the public
+    JointSpecs: parent, then origin, then a Rodrigues rotation
+    I + sin(q) K + (1 - cos(q)) K^2 or a translation q * axis."""
+    world = {}
+    for link in model.links:
+        joint = model.parent_joint(link)
+        motion = np.eye(4)
+        if joint.movable:
+            value = q[model.dof_index[joint.name]]
+            if joint.kind in (PRISMATIC, VIRTUAL_PRISMATIC):
+                motion[:3, 3] = value * joint.axis
+            else:
+                x, y, z = joint.axis
+                k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+                motion[:3, :3] += math.sin(value) * k + (1.0 - math.cos(value)) * k @ k
+        parent = model.parent_link(link)
+        base = np.eye(4) if parent is None else world[parent]
+        world[link] = base @ joint.origin @ motion
+    return world
 
 
 # ---------------------------------------------------------------- load_model
@@ -165,6 +191,25 @@ def test_planar_arm_matches_hand_composed_transform():
     expected = hand_composed_planar_pose(math.pi / 2, -math.pi / 3)
     assert np.allclose(poses.translation("lower"), expected[:3, 3], atol=1e-12)
     assert np.allclose(poses.rotation("lower"), expected[:3, :3], atol=1e-12)
+
+
+def test_fk_matches_homogeneous_reference():
+    """Both hands and 30 random chains: prismatic joints, oblique axes, rpy origins."""
+    rng = np.random.default_rng(31)
+    urdfs = [hands.three_finger_hand()[0], hands.five_finger_hand()[0]]
+    urdfs += [hands.random_chain_urdf(rng) for _ in range(30)]
+    kinds = set()
+    for urdf in urdfs:
+        model = load_model(urdf)
+        kinds.update(j.kind for j in model.joints)
+        for _ in range(5):
+            q = rng.uniform(model.lower, model.upper)
+            q[:3] = rng.uniform(-0.5, 0.5, 3)
+            poses = forward_kinematics(model, q)
+            expected = homogeneous_reference_fk(model, q)
+            for link in model.links:
+                assert np.abs(poses.transform(link) - expected[link]).max() < 1e-12
+    assert {"revolute", "prismatic", "fixed"} <= kinds
 
 
 def test_fk_dimension_mismatch():
@@ -329,3 +374,23 @@ def test_model_summary_schema():
         assert set(joint) == {"name", "kind", "limits"}
         if joint["kind"] == "fixed":
             assert joint["limits"] is None
+
+
+# ---------------------------------------------------------------- module boundary
+
+def test_only_kinematics_reads_private_model_tables():
+    """Other modules use KinematicModel's public names, never its private
+    tables or methods, whatever the variable is called (``self._x`` is the
+    module's own attribute and is allowed)."""
+    model = load_model(hands.single_link_urdf())
+    private = sorted(name for name in set(vars(model)) | set(dir(type(model)))
+                     if name.startswith("_") and not name.startswith("__"))
+    access = re.compile(r"(?<!\bself)\.(%s)\b" % "|".join(private))
+    hits = []
+    for path in sorted(Path(drokit.__file__).parent.glob("*.py")):
+        if path.name == "kinematics.py":
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if access.search(line):
+                hits.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert private and not hits
