@@ -10,11 +10,10 @@ residuals.  The polish runs until its largest step over all rows is below
 so a row that has already converged may still move by less than the
 tolerance while the others finish.
 
-All rows share one SVD of the object-side linear system: it checks the
-references for degeneracy and gives the pseudo-inverse of the closed-form
-step.  The polish works in moment form in the object's centroid frame, so
-each step costs two (rows, N_O) matrix products and a batched 3 x 3 solve;
-no per-row (N_O, 3) difference array is ever formed.
+All rows share the references: one SVD checks them for degeneracy, and the
+squared-range residual is linear in (p, ||p||^2, 1), so the closed form and
+every polish step come from a few moments of d^2.  The matrix is read once,
+in ``_ROW_CHUNK``-row blocks, and each step after that costs O(rows).
 """
 
 from __future__ import annotations
@@ -59,12 +58,10 @@ def compute_dro(robot_cloud, object_cloud) -> np.ndarray:
     return out
 
 
-def _reference_system(obj: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse of the linearized multilateration system; shared by every row.
-
-    The (N_O, 4) system [-2 p_j, 1] is factored once by SVD.  The same
-    singular values decide degeneracy and build the pseudo-inverse, so the
-    closed-form step needs no second factorization.
+def _reference_system(obj: np.ndarray):
+    """Reject references that cannot fix a point: fewer than four, or a
+    linearized system [-2 p_j, 1] whose singular values say it is coplanar
+    or worse.  Passing this check makes M = sum_j o_j o_j^T positive definite.
     """
     n = len(obj)
     if n < 4:
@@ -72,59 +69,54 @@ def _reference_system(obj: np.ndarray) -> np.ndarray:
     a = np.empty((n, 4))
     a[:, :3] = -2.0 * obj
     a[:, 3] = 1.0
-    u, sv, vt = np.linalg.svd(a, full_matrices=False)
+    sv = np.linalg.svd(a, compute_uv=False)
     if sv[-1] <= 0.0 or sv[0] / sv[-1] > CONDITION_LIMIT:
         raise DegeneracyError("reference points are degenerate (coplanar or worse); "
                               f"condition number exceeds {CONDITION_LIMIT:.0e}")
-    return (vt.T / sv) @ u.T  # (4, N_O)
 
 
 def _multilaterate_rows(dist: np.ndarray, obj: np.ndarray) -> np.ndarray:
     """Solve every row of a distance matrix against shared references.
 
-    Closed-form step: with s = ||p||^2 the range equations become linear,
-    -2 p_j . p + s = d_j^2 - ||p_j||^2, solved for all rows at once with the
-    pseudo-inverse from the SVD that ``_reference_system`` also uses for its
-    condition check.  Gauss-Newton steps on f_j(p) = ||p - p_j||^2 - d_j^2
-    then remove the linearization bias, until the largest step coordinate
-    over the whole matrix is below ``_STEP_TOL`` or ``_MAX_STEPS`` steps
-    have run.  An exact matrix stops after one step; every row takes the
-    same number of steps, so a row's result can still move by less than the
-    tolerance along with the rest of the matrix.
+    Everything runs in the object's centroid frame (o_j = p_j - mean,
+    q = p - mean, so sum_j o_j = 0), where the squared-range residual
+    f_j = ||q||^2 - 2 q . o_j + ||o_j||^2 - d_j^2 is linear in (q, ||q||^2, 1).
+    Every quantity the solver needs is then a moment of d^2, and the matrix
+    is read once: d^2 is formed ``_ROW_CHUNK`` rows at a time and multiplied
+    by [o | 1], giving G = d^2 @ o and g = sum_j d_j^2 per row.
 
-    The refine runs in moment form in the object's centroid frame
-    (o_j = p_j - mean, q = p - mean, so sum_j o_j = 0):
-    f = ||q||^2 - 2 q . o_j + ||o_j||^2 - d_j^2 is one GEMM for all rows,
-    J^T J = 4 (N q q^T + M) with M = sum_j o_j o_j^T formed once, and
-    J^T f = 2 (q sum_j f_j - f @ o), a second GEMM.  The largest temporary
-    is (rows, N_O).  Centring keeps the expanded squares small, so accuracy
-    does not fall off as the object moves away from the origin.
+    With M = sum_j o_j o_j^T and t = sum_j ||o_j||^2 o_j, the closed-form
+    (linearized least-squares) point is q = -M^-1 (G - t) / 2.  Gauss-Newton
+    steps on f then remove the linearization bias, each from O(rows) work:
+    sum_j f_j = n ||q||^2 + sum_j ||o_j||^2 - g, f @ o = t - G - 2 M q,
+    J^T f = 2 (q sum_j f_j - f @ o) and J^T J = 4 (M + n q q^T), solved by
+    Sherman-Morrison on M^-1.  An exact matrix stops after one step.  The
+    largest temporary is one (_ROW_CHUNK, N_O) block, and centring keeps the
+    expanded squares small, so accuracy does not fall off as the object moves
+    away from the origin.
     """
-    pinv = _reference_system(obj)
-    d_sq = dist * dist
-    solution = (d_sq - (obj * obj).sum(axis=1)) @ pinv.T  # (rows, 4)
-
+    _reference_system(obj)
+    n = len(obj)
     centroid = obj.mean(axis=0)
-    o = obj - centroid
+    basis = np.ones((n, 4))  # [o | 1]
+    o = basis[:, :3]
+    np.subtract(obj, centroid, out=o)
+    sums = np.empty((len(dist), 4))  # [G | g]
+    for i in range(0, len(dist), _ROW_CHUNK):
+        rows = dist[i:i + _ROW_CHUNK]
+        np.matmul(rows * rows, basis, out=sums[i:i + _ROW_CHUNK])
     o_sq = (o * o).sum(axis=1)
     moment = o.T @ o
-    n = len(obj)
-    q = solution[:, :3] - centroid
+    moment_inv = np.linalg.inv(moment)
+    residual_o = o_sq @ o - sums[:, :3]  # t - G
+    residual_sum = o_sq.sum() - sums[:, 3]  # sum_j ||o_j||^2 - g
+    q = 0.5 * residual_o @ moment_inv
     for _ in range(_MAX_STEPS):
-        f = q @ o.T  # (rows, N_O)
-        f *= -2.0
-        f += (q * q).sum(axis=1)[:, None]
-        f += o_sq
-        f -= d_sq
-        jtj = 4.0 * (n * q[:, :, None] * q[:, None, :] + moment)
-        jtf = 2.0 * (q * f.sum(axis=1)[:, None] - f @ o)
-        try:
-            step = np.linalg.solve(jtj, jtf[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            bad = [i for i in range(len(q))
-                   if np.linalg.matrix_rank(jtj[i]) < 3]
-            row = bad[0] if bad else 0
-            raise DegeneracyError(f"refinement normal equations singular at row {row}")
+        f_sum = n * (q * q).sum(axis=1) + residual_sum
+        rhs = 0.5 * (q * f_sum[:, None] - residual_o) + q @ moment  # J^T f / 4
+        u = q @ moment_inv
+        v = rhs @ moment_inv
+        step = v - u * (n * (q * v).sum(axis=1) / (1.0 + n * (q * u).sum(axis=1)))[:, None]
         q = q - step
         if np.max(np.abs(step), initial=0.0) < _STEP_TOL:
             break
@@ -147,9 +139,10 @@ def multilaterate_point(distances, object_cloud) -> np.ndarray:
 
 
 def _validate_distances(d: np.ndarray):
-    if not np.all(np.isfinite(d)):
+    lo, hi = d.min(initial=0.0), d.max(initial=0.0)  # NaN and +-inf reach one of them
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ContractError("distance matrix contains non-finite entries")
-    if np.any(d < 0.0):
+    if lo < 0.0:
         raise ContractError("distance matrix contains negative entries")
 
 

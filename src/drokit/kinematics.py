@@ -25,6 +25,7 @@ identity.
 
 from __future__ import annotations
 
+import copy
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -245,15 +246,15 @@ class KinematicModel:
                 self._path_mask[i, self._dof[i]] = True
 
     def with_clouds(self, canonical_clouds: dict[str, np.ndarray]) -> "KinematicModel":
-        """New model sharing structure with canonical clouds attached, kept in
+        """Copy sharing this model's tables, with canonical clouds attached in
         ``links`` order (the row order of ``cloud_fk``) whatever the dict's order."""
         for link in canonical_clouds:
             if link not in self._link_index:
                 raise ContractError(f"cloud for unknown link '{link}'")
-        clouds = {k: np.ascontiguousarray(canonical_clouds[k], dtype=float)
-                  for k in self.links if k in canonical_clouds}
-        return KinematicModel(self.links, self.joints, self.dof_index,
-                              self.tip_links, clouds)
+        model = copy.copy(self)
+        model.canonical_clouds = {k: np.ascontiguousarray(canonical_clouds[k], dtype=float)
+                                  for k in self.links if k in canonical_clouds}
+        return model
 
     def parent_link(self, link: str) -> str | None:
         """Parent link name, or None when the parent is the world frame."""

@@ -293,3 +293,52 @@ def test_recover_cloud_refines_until_converged():
         noisy = np.abs(exact + rng.normal(0.0, sigma, size=exact.shape))
         rec = recover_cloud(noisy, obj)
         assert np.abs(rec.points - direct_gauss_newton(noisy, obj, steps=30)).max() < 1e-9
+
+
+# ---------------------------------------------------------------- moment kernel
+
+def test_validation_reports_non_finite_before_negative():
+    rng = np.random.default_rng(17)
+    obj = random_references(rng, 16)
+    for bad_value in (np.inf, -np.inf, np.nan):
+        bad = np.ones((3, 16))
+        bad[1, 2] = bad_value
+        bad[2, 5] = -1.0
+        with pytest.raises(ContractError, match="non-finite"):
+            recover_cloud(bad, obj)
+    bad = np.ones((3, 16))
+    bad[2, 5] = -1e-12
+    with pytest.raises(ContractError, match="negative"):
+        recover_cloud(bad, obj)
+
+
+def test_recover_cloud_of_empty_matrix_is_empty():
+    rng = np.random.default_rng(18)
+    obj = random_references(rng, 32)
+    assert recover_cloud(np.zeros((0, 32)), obj).points.shape == (0, 3)
+
+
+def test_moment_pass_matches_direct_gauss_newton_across_row_chunks():
+    # the moment pass reads the matrix _ROW_CHUNK rows at a time; every row
+    # on either side of a chunk boundary must come out as the per-row solver's
+    rng = np.random.default_rng(19)
+    obj = random_references(rng, 300)
+    for n_r in (1, _ROW_CHUNK - 1, _ROW_CHUNK + 1, 2 * _ROW_CHUNK + 7):
+        robot = rng.normal(scale=0.2, size=(n_r, 3))
+        exact = compute_dro(robot, obj)
+        noisy = np.abs(exact + rng.normal(0.0, 1e-3, size=exact.shape))
+        for mat in (exact, noisy):
+            rec = recover_cloud(mat, obj)
+            assert np.abs(rec.points - direct_gauss_newton(mat, obj, steps=10)).max() < 1e-12
+
+
+def test_far_object_noisy_recovery_converges():
+    # 10 m from the origin with large range noise, the centred moments must
+    # still reach the least-squares point of the uncentred per-row solver
+    rng = np.random.default_rng(20)
+    offset = np.array([0.0, 10.0, 0.0])
+    obj = random_references(rng, 512, scale=0.04, center=offset)
+    robot = offset + rng.normal(scale=0.1, size=(128, 3))
+    noisy = np.abs(compute_dro(robot, obj) + rng.normal(0.0, 1e-2, size=(128, 512)))
+    rec = recover_cloud(noisy, obj)
+    assert np.abs(rec.points - direct_gauss_newton(noisy, obj, steps=30)).max() < 1e-9

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import drokit
-from drokit import (ContractError, StructureError, UrdfError, clamp_to_limits,
-                    forward_kinematics, in_limits, link_origin_jacobian,
-                    load_model, matrix_from_rpy, model_summary, rpy_from_matrix)
+from drokit import (ContractError, KinematicModel, StructureError, UrdfError,
+                    clamp_to_limits, forward_kinematics, in_limits,
+                    link_origin_jacobian, load_model, matrix_from_rpy,
+                    model_summary, rpy_from_matrix)
 from drokit.kinematics import PRISMATIC, VIRTUAL_PRISMATIC
 
 import hands
@@ -152,6 +153,37 @@ def test_configurable_tip_extension_length():
     model = load_model(hands.single_link_urdf(), virtual_tip_extension_length=0.05)
     joint = model.parent_joint(model.tip_links[0])
     assert np.allclose(joint.origin[:3, 3], [0.05, 0.0, 0.0])
+
+
+def test_with_clouds_shares_tables_and_fk():
+    model = load_model(hands.planar_two_link_arm())
+    rng = np.random.default_rng(0)
+    clouds = {link: rng.normal(size=(4, 3)) for link in reversed(model.links[-2:])}
+    attached = model.with_clouds(clouds)
+    assert attached.lower is model.lower and attached.upper is model.upper
+    assert list(attached.canonical_clouds) == list(model.links[-2:])
+    assert model.canonical_clouds is None
+    q = rng.uniform(model.lower, model.upper)
+    before, after = forward_kinematics(model, q), forward_kinematics(attached, q)
+    for link in model.links:
+        assert np.array_equal(before.rotation(link), after.rotation(link))
+        assert np.array_equal(before.translation(link), after.translation(link))
+    with pytest.raises(ContractError):
+        model.with_clouds({"no_such_link": np.zeros((1, 3))})
+
+
+def test_tables_built_once_across_load_and_with_clouds(monkeypatch):
+    built = []
+    build_tables = KinematicModel._build_tables
+
+    def counting(self):
+        built.append(self)
+        build_tables(self)
+
+    monkeypatch.setattr(KinematicModel, "_build_tables", counting)
+    model = load_model(hands.planar_two_link_arm())
+    model.with_clouds({model.links[-1]: np.zeros((2, 3))})
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------- forward kinematics
