@@ -18,6 +18,8 @@ in ``_ROW_CHUNK``-row blocks, and each step after that costs O(rows).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .cloud import PointCloud
@@ -94,17 +96,29 @@ def _multilaterate_rows(dist: np.ndarray, obj: np.ndarray) -> np.ndarray:
     largest temporary is one (_ROW_CHUNK, N_O) block, and centring keeps the
     expanded squares small, so accuracy does not fall off as the object moves
     away from the origin.
+
+    The same pass takes each block's min and max while the block is in
+    cache, so the value checks cost no read of their own.  A non-finite
+    entry is reported before a negative one, and both before the
+    reference check, wherever they sit in the matrix.
     """
-    _reference_system(obj)
     n = len(obj)
-    centroid = obj.mean(axis=0)
+    centroid = obj.mean(axis=0) if n else np.zeros(3)  # no references: rejected below
     basis = np.ones((n, 4))  # [o | 1]
     o = basis[:, :3]
     np.subtract(obj, centroid, out=o)
     sums = np.empty((len(dist), 4))  # [G | g]
+    lowest = 0.0
     for i in range(0, len(dist), _ROW_CHUNK):
         rows = dist[i:i + _ROW_CHUNK]
+        lo, hi = rows.min(initial=0.0), rows.max(initial=0.0)
+        if not (math.isfinite(lo) and math.isfinite(hi)):  # NaN and +-inf reach one
+            raise ContractError("distance matrix contains non-finite entries")
+        lowest = min(lowest, lo)
         np.matmul(rows * rows, basis, out=sums[i:i + _ROW_CHUNK])
+    if lowest < 0.0:
+        raise ContractError("distance matrix contains negative entries")
+    _reference_system(obj)
     o_sq = (o * o).sum(axis=1)
     moment = o.T @ o
     moment_inv = np.linalg.inv(moment)
@@ -134,16 +148,7 @@ def multilaterate_point(distances, object_cloud) -> np.ndarray:
     if d.shape != (len(obj),):
         raise ContractError(f"distances shape {d.shape} does not match "
                             f"{len(obj)} reference points")
-    _validate_distances(d)
     return _multilaterate_rows(d[None, :], obj)[0]
-
-
-def _validate_distances(d: np.ndarray):
-    lo, hi = d.min(initial=0.0), d.max(initial=0.0)  # NaN and +-inf reach one of them
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ContractError("distance matrix contains non-finite entries")
-    if lo < 0.0:
-        raise ContractError("distance matrix contains negative entries")
 
 
 def recover_cloud(dro: np.ndarray, object_cloud, labels=None) -> PointCloud:
@@ -161,6 +166,5 @@ def recover_cloud(dro: np.ndarray, object_cloud, labels=None) -> PointCloud:
     if dro.shape[1] != len(obj):
         raise ContractError(f"matrix has {dro.shape[1]} columns but object cloud "
                             f"has {len(obj)} points")
-    _validate_distances(dro)
     pts = _multilaterate_rows(dro, obj)
     return PointCloud(pts, list(labels) if labels is not None else None)

@@ -16,11 +16,11 @@ virtual extension link along the parent's local +x axis, so translation-only
 link targets still constrain fingertip orientation.
 
 Forward kinematics has one rule for every link: its world pose is its
-parent's world pose, then its joint origin, then its joint motion.  The
-motion of all links comes from one expression, a rotation exp(theta K) by
-the revolute value theta and a shift d * axis by the prismatic value d, with
-theta and d zero where they do not apply, so a fixed joint moves by the
-identity.
+parent's world pose, then its joint origin, then its joint motion, composed
+as 4x4 transforms.  The motion of all links comes from one expression, a
+rotation exp(theta K) by the revolute value theta and a shift d * axis by the
+prismatic value d, with theta and d zero where they do not apply, so a fixed
+joint moves by the identity.
 """
 
 from __future__ import annotations
@@ -47,6 +47,9 @@ VIRTUAL_ROTATION_LIMIT = math.pi
 
 _PRISMATIC_KINDS = (PRISMATIC, VIRTUAL_PRISMATIC)
 _REVOLUTE_KINDS = (REVOLUTE, VIRTUAL_REVOLUTE)
+
+# K(a).ravel() = a @ _SKEW, where K v = a x v (row r of K is e_r x a)
+_SKEW = np.cross(np.eye(3)[:, None, :], np.eye(3)[None, :, :]).transpose(1, 0, 2).reshape(3, 9)
 
 _AXES = {"x": np.array([1.0, 0.0, 0.0]),
          "y": np.array([0.0, 1.0, 0.0]),
@@ -149,7 +152,10 @@ class KinematicModel:
 
     The underscored index tables are private to this module.  Other modules
     use ``links``, ``tip_links``, ``dof_index``, :meth:`parent_link`,
-    :meth:`parent_joint`, ``_fk_arrays`` and ``_jacobians``.
+    :meth:`parent_joint`, ``_fk_arrays`` and ``_jacobians``.  ``_fk_arrays``
+    composes every link's pose as 4x4 transforms in one (L, 4, 4) buffer and
+    returns its rotations and translations as views of that buffer, which
+    callers must not write to.
 
     Attributes
     ----------
@@ -205,8 +211,7 @@ class KinematicModel:
         # per-link parent index and local joint parameters, in `links` order
         n = len(self.links)
         self._parent = np.full(n, -1, dtype=int)
-        self._origin_rot = np.zeros((n, 3, 3))
-        self._origin_trans = np.zeros((n, 3))
+        origins = np.zeros((n, 4, 4))
         self._kind = np.zeros(n, dtype=int)  # 0 fixed, 1 revolute, 2 prismatic
         self._axis = np.zeros((n, 3))
         self._dof = np.full(n, -1, dtype=int)
@@ -222,8 +227,7 @@ class KinematicModel:
                 if p >= i:
                     raise StructureError("links are not topologically ordered")
                 self._parent[i] = p
-            self._origin_rot[i] = j.origin[:3, :3]
-            self._origin_trans[i] = j.origin[:3, 3]
+            origins[i] = j.origin
             self._axis[i] = j.axis
             if j.kind in _REVOLUTE_KINDS:
                 self._kind[i] = 1
@@ -232,9 +236,18 @@ class KinematicModel:
             if j.movable:
                 self._dof[i] = self.dof_index[j.name]
 
-        # per-link K (K v = axis x v, so row r of K is e_r x axis) and axis axis^T
-        self._skew = np.cross(np.eye(3), self._axis[:, None, :])
-        self._outer = self._axis[:, :, None] * self._axis[:, None, :]
+        # each link's local 4x4 pose (origin, then motion) is the sum of five
+        # fixed terms weighted by (cos theta, sin theta, 1 - cos theta, d, 1):
+        # R, R K and R a a^T as rotations, R a as a shift, and the origin's
+        # own shift with the homogeneous 1 (R the origin rotation, K v = a x v)
+        rot = origins[:, :3, :3]
+        basis = np.zeros((n, 5, 4, 4))
+        basis[:, 0, :3, :3] = rot
+        basis[:, 1, :3, :3] = rot @ (self._axis @ _SKEW).reshape(n, 3, 3)
+        basis[:, 2, :3, :3] = rot @ (self._axis[:, :, None] * self._axis[:, None, :])
+        basis[:, 3, :3, 3] = (rot @ self._axis[:, :, None])[:, :, 0]
+        basis[:, 4, :, 3] = origins[:, :, 3]
+        self._local_basis = basis.reshape(n, 5, 16)
 
         # dofs on the root->link path, as a boolean mask per link
         self._path_mask = np.zeros((n, self.n_dof), dtype=bool)
@@ -486,22 +499,29 @@ def _fk_arrays(model: KinematicModel, q: np.ndarray) -> tuple[np.ndarray, np.nda
     """World rotation (L,3,3) and translation (L,3) per link, in link order.
 
     Each link is its parent frame, then its joint origin, then its joint
-    motion: the rotation exp(theta K) = cos(theta) I + sin(theta) K
-    + (1 - cos(theta)) a a^T and the shift d a along the unit axis a.
+    motion, composed as 4x4 homogeneous transforms (the product of
+    exponentials, Murray, Li & Sastry 1994, ch. 2-3).  The motion is the
+    rotation exp(theta K) = cos(theta) I + sin(theta) K
+    + (1 - cos(theta)) a a^T and the shift d a along the unit axis a, so
+    every link's local pose (origin, then motion) is its weights
+    (cos, sin, 1 - cos, d, 1) times the model's per-link basis, all in one
+    batched product, and the link loop is one 4x4 product per link.
+
+    ``rot`` and ``trans`` are views of one (L,4,4) buffer, so callers must
+    not write to them; copy what is kept or changed.
     """
     value = q[model._dof]  # fixed links (_dof = -1) read q's last entry; masked out next
-    theta = np.where(model._kind == 1, value, 0.0)[:, None, None]
-    shift = np.where(model._kind == 2, value, 0.0)[:, None] * model._axis
-    c = np.cos(theta)
-    motion = c * np.eye(3) + np.sin(theta) * model._skew + (1.0 - c) * model._outer
-    # local poses, then composed in place with the parent's world pose
-    rot = model._origin_rot @ motion
-    trans = model._origin_trans + (model._origin_rot @ shift[:, :, None])[:, :, 0]
+    theta = np.where(model._kind == 1, value, 0.0)
+    weights = np.ones((len(value), 1, 5))
+    np.cos(theta, out=weights[:, 0, 0])
+    np.sin(theta, out=weights[:, 0, 1])
+    np.subtract(1.0, weights[:, 0, 0], out=weights[:, 0, 2])
+    weights[:, 0, 3] = np.where(model._kind == 2, value, 0.0)
+    pose = (weights @ model._local_basis).reshape(-1, 4, 4)
     for i, p in enumerate(model._parent.tolist()):
         if p >= 0:  # a root's world pose is its local pose
-            trans[i] = rot[p] @ trans[i] + trans[p]
-            rot[i] = rot[p] @ rot[i]
-    return rot, trans
+            pose[i] = pose[p].dot(pose[i])  # ndarray.dot: less call overhead than @ at 4x4
+    return pose[:, :3, :3], pose[:, :3, 3]
 
 
 def forward_kinematics(model: KinematicModel, q) -> LinkPoseSet:
@@ -518,15 +538,29 @@ def forward_kinematics(model: KinematicModel, q) -> LinkPoseSet:
 
 def _jacobians(model: KinematicModel, rot: np.ndarray, trans: np.ndarray,
                link_indices: np.ndarray) -> np.ndarray:
-    """Stacked origin Jacobians (len(link_indices), 3, n_dof)."""
+    """Stacked origin Jacobians (len(link_indices), 3, n_dof).
+
+    A revolute DoF with world axis a anchored at p moves a point x by
+    a x (x - p) = [K(a) | -a x p] [x | 1]^T, a prismatic one by
+    [0 | a] [x | 1]^T.  The (3, 4) blocks of all DoFs form one
+    (3 n_dof, 4) table, so every column of every link is one GEMM with the
+    homogeneous positions; columns of DoFs off the root->link path are then
+    zeroed.
+    """
     child = model._dof_child  # each joint's axis and anchor live in its child frame
-    axis_w = np.einsum("nij,nj->ni", rot[child], model._axis[child])
-    prismatic = model._kind[child] == 2
-    diff = trans[link_indices][:, None, :] - trans[child][None, :, :]  # (T,n,3)
-    cols = np.cross(axis_w[None, :, :], diff)                 # revolute columns
-    cols[:, prismatic, :] = axis_w[prismatic]
-    cols *= model._path_mask[link_indices][:, :, None]
-    return cols.transpose(0, 2, 1)
+    n = len(child)
+    axis = np.einsum("nij,nj->ni", rot[child], model._axis[child])
+    revolute = (model._kind[child] == 1)[:, None]
+    skew = (np.where(revolute, axis, 0.0) @ _SKEW).reshape(n, 3, 3)  # zero when prismatic
+    table = np.empty((3, n, 4))
+    table[:, :, :3] = skew.transpose(1, 0, 2)
+    table[:, :, 3] = (np.where(revolute, 0.0, axis)
+                      - np.einsum("nij,nj->ni", skew, trans[child])).T
+    points = np.ones((len(link_indices), 4))
+    points[:, :3] = trans[link_indices]
+    jac = (points @ table.reshape(3 * n, 4).T).reshape(-1, 3, n)
+    jac *= model._path_mask[link_indices][:, None, :]
+    return jac
 
 
 def link_origin_jacobian(model: KinematicModel, q, link_id: str) -> np.ndarray:

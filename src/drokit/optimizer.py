@@ -85,25 +85,31 @@ def _bounded_damped_step(jac: np.ndarray, resid: np.ndarray, lb: np.ndarray,
 
     Active-set clamp: solve the damped normal equations, clamp offending
     coordinates to their bounds, re-solve the free block until the active
-    set stabilizes.
+    set stabilizes.  When no coordinate leaves the box, the unconstrained
+    damped solve is the answer as it stands.  A clamped coordinate is never
+    released, so where coordinates interact the result is feasible and
+    stationary on the free block but can miss the box minimum.
     """
     n = jac.shape[1]
-    jtj = jac.T @ jac + damping * np.eye(n)
+    jtj = jac.T @ jac
+    jtj.flat[::n + 1] += damping
     jtr = jac.T @ resid
-    delta = np.zeros(n)
-    free = np.ones(n, dtype=bool)
-    for _ in range(n + 1):
-        fixed = ~free
-        rhs = -jtr[free] - jtj[np.ix_(free, fixed)] @ delta[fixed]
-        delta[free] = np.linalg.solve(jtj[np.ix_(free, free)], rhs)
+    delta = np.linalg.solve(jtj, -jtr)
+    clipped = np.clip(delta, lb, ub)
+    free = clipped == delta
+    if free.all():
+        return delta
+    delta = clipped
+    while free.any():  # a round that does not stop clamps one more coordinate
+        rows = jtj[free]
+        delta[free] = np.linalg.solve(rows[:, free],
+                                      -jtr[free] - rows[:, ~free] @ delta[~free])
         clipped = np.clip(delta, lb, ub)
         newly_active = free & (clipped != delta)
         delta = clipped
         if not newly_active.any():
             break
         free &= ~newly_active
-        if not free.any():
-            break
     return delta
 
 

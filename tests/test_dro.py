@@ -312,6 +312,31 @@ def test_validation_reports_non_finite_before_negative():
         recover_cloud(bad, obj)
 
 
+def test_validation_reports_bad_values_before_degenerate_references():
+    # the values are checked in the moment pass, block by block, yet a bad
+    # value anywhere is reported before the references are judged, and a
+    # non-finite one before a negative one in an earlier block
+    rng = np.random.default_rng(21)
+    refs = random_references(rng, 32)
+    refs[:, 2] = 0.0  # coplanar
+    row = _ROW_CHUNK + 1
+    for bad_value, message in ((np.nan, "non-finite"), (np.inf, "non-finite"),
+                               (-1.0, "negative")):
+        bad = np.ones((2 * _ROW_CHUNK + 3, 32))
+        bad[row, 7] = bad_value
+        with pytest.raises(ContractError, match=message):
+            recover_cloud(bad, refs)
+        with pytest.raises(ContractError, match=message):
+            multilaterate_point(bad[row], refs)
+    bad = np.ones((2 * _ROW_CHUNK + 3, 32))
+    bad[0, 3] = -1.0
+    bad[-1, 5] = np.nan
+    with pytest.raises(ContractError, match="non-finite"):
+        recover_cloud(bad, refs)
+    with pytest.raises(DegeneracyError):
+        recover_cloud(np.ones((2, 32)), refs)
+
+
 def test_recover_cloud_of_empty_matrix_is_empty():
     rng = np.random.default_rng(18)
     obj = random_references(rng, 32)

@@ -10,7 +10,7 @@ from drokit import (ContractError, KinematicModel, StructureError, UrdfError,
                     clamp_to_limits, forward_kinematics, in_limits,
                     link_origin_jacobian, load_model, matrix_from_rpy,
                     model_summary, rpy_from_matrix)
-from drokit.kinematics import PRISMATIC, VIRTUAL_PRISMATIC
+from drokit.kinematics import PRISMATIC, VIRTUAL_PRISMATIC, _fk_arrays, _jacobians
 
 import hands
 
@@ -355,6 +355,38 @@ def test_jacobian_matches_finite_differences():
             fd = finite_difference_jacobian(model, q, link)
             scale = max(np.abs(fd).max(), 1.0)
             assert np.abs(jac - fd).max() / scale < 1e-5
+
+
+def path_dofs(model, link):
+    """DoFs of the movable joints from the world to ``link``, from the public tree."""
+    dofs = set()
+    while link is not None:
+        joint = model.parent_joint(link)
+        if joint.movable:
+            dofs.add(model.dof_index[joint.name])
+        link = model.parent_link(link)
+    return dofs
+
+
+def test_all_link_jacobians_match_finite_differences():
+    """The call shape of solve_joints: every link at once from one FK."""
+    rng = np.random.default_rng(43)
+    urdfs = [hands.three_finger_hand()[0], hands.five_finger_hand()[0]]
+    urdfs += [hands.random_chain_urdf(rng) for _ in range(20)]
+    kinds = set()
+    for urdf in urdfs:
+        model = load_model(urdf)
+        kinds.update(j.kind for j in model.joints)
+        q = rng.uniform(np.maximum(model.lower, -1.0), np.minimum(model.upper, 1.0))
+        jac = _jacobians(model, *_fk_arrays(model, q), np.arange(len(model.links)))
+        assert jac.shape == (len(model.links), 3, model.n_dof)
+        for k, link in enumerate(model.links):
+            fd = finite_difference_jacobian(model, q, link)
+            scale = max(np.abs(fd).max(), 1.0)
+            assert np.abs(jac[k] - fd).max() / scale < 1e-5
+            off_path = sorted(set(range(model.n_dof)) - path_dofs(model, link))
+            assert (jac[k][:, off_path] == 0.0).all()
+    assert PRISMATIC in kinds  # the chains reach the prismatic columns
 
 
 def test_jacobian_unknown_link():

@@ -8,6 +8,7 @@ from drokit import (ContractError, DataError, SolveParams, StageError,
                     link_targets_from_poses, load_model, recover_grasp,
                     register_all, solve_joints)
 from drokit.errors import DegeneracyError
+from drokit.optimizer import _bounded_damped_step
 from drokit.rng import substream
 
 import hands
@@ -121,6 +122,73 @@ def test_params_validation():
         SolveParams(tol_step=-1.0)
     with pytest.raises(ContractError):
         SolveParams(max_iters=0)
+
+
+def box_problems(seed, count, orthogonal=False):
+    """Seeded random box QPs (jac, resid, lb, ub, damping), n from 2 to 30,
+    with boxes from far inside to far outside the unconstrained step."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 31))
+        jac = rng.normal(size=(n + 3 * int(rng.integers(1, 10)), n))
+        if orthogonal:  # J^T J diagonal: every coordinate is its own problem
+            jac = np.linalg.qr(jac)[0] * rng.uniform(0.1, 3.0, n)
+        resid = rng.normal(size=len(jac))
+        width = 10.0 ** rng.uniform(-2.0, 1.5)
+        lb = -width * rng.uniform(0.05, 1.0, n)
+        ub = width * rng.uniform(0.05, 1.0, n)
+        yield jac, resid, lb, ub, 10.0 ** rng.uniform(-8.0, -2.0)
+
+
+def damped_gradient(jac, resid, damping, delta):
+    """Half the gradient of ||J d + r||^2 + damping ||d||^2 at d = delta."""
+    return jac.T @ (jac @ delta + resid) + damping * delta
+
+
+def test_bounded_damped_step_on_random_box_problems(monkeypatch):
+    solve = np.linalg.solve
+    solves = []
+
+    def counting_solve(a, b):
+        solves.append(len(b))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    unclipped = several_rounds = 0
+    for jac, resid, lb, ub, damping in box_problems(23, 300):
+        n = jac.shape[1]
+        solves.clear()
+        delta = _bounded_damped_step(jac, resid, lb, ub, damping)
+        assert ((lb <= delta) & (delta <= ub)).all()
+        grad = damped_gradient(jac, resid, damping, delta)
+        free = (lb < delta) & (delta < ub)
+        tol = 1e-12 * (1.0 + np.abs(jac).max() ** 2 * len(jac))
+        assert np.abs(grad[free]).max(initial=0.0) < tol
+        step = solve(jac.T @ jac + damping * np.eye(n), -(jac.T @ resid))
+        if ((lb <= step) & (step <= ub)).all():
+            assert np.array_equal(delta, step)  # bitwise, from a single solve
+            assert len(solves) == 1
+            unclipped += 1
+        several_rounds += len(solves) >= 3  # a re-solve clamped more coordinates
+    assert unclipped >= 20 and several_rounds >= 20
+
+
+def test_bounded_damped_step_meets_kkt_where_clamping_is_exact():
+    # with J^T J diagonal the coordinates do not interact, so clamping the
+    # unconstrained step is the box optimum; on general problems the clamp
+    # keeps every bound it has taken, and a kept bound can hold a gradient
+    # of the wrong sign
+    at_bound = 0
+    for jac, resid, lb, ub, damping in box_problems(29, 200, orthogonal=True):
+        delta = _bounded_damped_step(jac, resid, lb, ub, damping)
+        assert ((lb <= delta) & (delta <= ub)).all()
+        grad = damped_gradient(jac, resid, damping, delta)
+        tol = 1e-9 * (1.0 + np.abs(grad).max())
+        lower, upper = delta == lb, delta == ub
+        assert np.abs(grad[~(lower | upper)]).max(initial=0.0) < tol
+        assert (grad[lower] >= -tol).all() and (grad[upper] <= tol).all()
+        at_bound += lower.any() and upper.any()
+    assert at_bound >= 20
 
 
 # ---------------------------------------------------------------- full pipeline
