@@ -9,6 +9,7 @@ outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -53,10 +54,10 @@ class PointCloud:
             raise ContractError("cloud has no labels")
         runs = []
         start = 0
-        for i in range(1, len(self.labels) + 1):
-            if i == len(self.labels) or self.labels[i] != self.labels[start]:
-                runs.append((self.labels[start], slice(start, i)))
-                start = i
+        for label, group in groupby(self.labels):
+            stop = start + len(list(group))
+            runs.append((label, slice(start, stop)))
+            start = stop
         seen = [label for label, _ in runs]
         if len(set(seen)) != len(seen):
             raise ContractError("label segments are not contiguous")

@@ -14,6 +14,12 @@ All rows share the references: one SVD checks them for degeneracy, and the
 squared-range residual is linear in (p, ||p||^2, 1), so the closed form and
 every polish step come from a few moments of d^2.  The matrix is read once,
 in ``_ROW_CHUNK``-row blocks, and each step after that costs O(rows).
+
+The distance matrix itself is built ``_ROW_CHUNK`` robot rows at a time,
+each coordinate difference coming from BLAS as the GEMM [r_k | 1] @
+[1 ; -o_k]: both products are exact and their sum is rounded once, so every
+entry is bitwise the direct sqrt((dx*dx + dy*dy) + dz*dz) at about half the
+cost of a broadcast subtraction.
 """
 
 from __future__ import annotations
@@ -41,21 +47,34 @@ def _points_of(cloud) -> np.ndarray:
 def compute_dro(robot_cloud, object_cloud) -> np.ndarray:
     """Pairwise robot-object distance matrix.
 
-    Squares are summed per coordinate into the output, ``_ROW_CHUNK`` robot
-    rows at a time, so the only temporary is one (_ROW_CHUNK, N_O) difference.
-    Summing from zero keeps each entry bitwise equal to sqrt(dx*dx + dy*dy + dz*dz).
+    Each coordinate difference is a two-term product [r_k | 1] @ [1 ; -o_k],
+    one GEMM per coordinate and ``_ROW_CHUNK`` robot rows.  Both products
+    are exact and their sum is rounded once, so every difference equals
+    r_k - o_k bitwise, whatever order or FMA the BLAS uses, and non-finite
+    coordinates give the inf or NaN the subtraction would.  The x difference
+    lands in the output block and y and z in one reused (_ROW_CHUNK, N_O)
+    buffer, each squared in place and added in order, so every entry is
+    sqrt((dx*dx + dy*dy) + dz*dz) and the temporaries are chunk-sized.
     """
     rpts = _points_of(robot_cloud)
     opts = _points_of(object_cloud)
     if len(rpts) == 0 or len(opts) == 0:
         raise ContractError("clouds must be nonempty")
-    out = np.zeros((len(rpts), len(opts)))
+    lhs = np.ones((3, len(rpts), 2))  # [r_k | 1]
+    lhs[:, :, 0] = rpts.T
+    rhs = np.ones((3, 2, len(opts)))  # [1 ; -o_k]
+    np.negative(opts.T, out=rhs[:, 1])
+    out = np.empty((len(rpts), len(opts)))
+    buf = np.empty((min(_ROW_CHUNK, len(rpts)), len(opts)))
     for i in range(0, len(rpts), _ROW_CHUNK):
         sq = out[i:i + _ROW_CHUNK]
-        for k in range(3):
-            d = rpts[i:i + _ROW_CHUNK, k, None] - opts[:, k]
-            d *= d
-            sq += d
+        d = buf[:len(sq)]
+        np.matmul(lhs[0, i:i + _ROW_CHUNK], rhs[0], out=sq)
+        np.multiply(sq, sq, out=sq)
+        for k in (1, 2):
+            np.matmul(lhs[k, i:i + _ROW_CHUNK], rhs[k], out=d)
+            np.multiply(d, d, out=d)
+            np.add(sq, d, out=sq)
         np.sqrt(sq, out=sq)
     return out
 
@@ -167,4 +186,4 @@ def recover_cloud(dro: np.ndarray, object_cloud, labels=None) -> PointCloud:
         raise ContractError(f"matrix has {dro.shape[1]} columns but object cloud "
                             f"has {len(obj)} points")
     pts = _multilaterate_rows(dro, obj)
-    return PointCloud(pts, list(labels) if labels is not None else None)
+    return PointCloud(pts, labels)

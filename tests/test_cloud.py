@@ -75,6 +75,38 @@ def test_segments_require_contiguous_labels():
         cloud.segments()
 
 
+def reference_segments(labels):
+    """Label runs found by comparing each label with its run's first."""
+    runs = []
+    start = 0
+    for i in range(1, len(labels) + 1):
+        if i == len(labels) or labels[i] != labels[start]:
+            runs.append((labels[start], slice(start, i)))
+            start = i
+    seen = [label for label, _ in runs]
+    if len(set(seen)) != len(seen):
+        raise ContractError("label segments are not contiguous")
+    return runs
+
+
+def test_segments_match_reference_runs():
+    rng = np.random.default_rng(21)
+    cases = [[], ["a"], ["a"] * 9, ["a", "b", "a"]]
+    for _ in range(40):
+        runs = rng.integers(1, 6, size=rng.integers(1, 8))
+        names = rng.choice(["a", "b", "c", "d", "e"], size=len(runs))
+        cases.append([str(n) for n, r in zip(names, runs) for _ in range(r)])
+    for labels in cases:
+        cloud = PointCloud(np.zeros((len(labels), 3)), labels=labels)
+        try:
+            want = reference_segments(labels)
+        except ContractError as err:
+            with pytest.raises(ContractError, match=str(err)):
+                cloud.segments()
+        else:
+            assert cloud.segments() == want
+
+
 def test_by_link_groups_points():
     pts = np.arange(12, dtype=float).reshape(4, 3)
     cloud = PointCloud(pts, labels=["a", "a", "b", "b"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,79 @@ def test_row_chunks_match_broadcast_bitwise():
         robot = rng.normal(scale=0.1, size=(n_r, 3)) + 10.0
         diff = robot[:, None, :] - obj[None, :, :]
         assert np.array_equal(compute_dro(robot, obj), np.sqrt((diff * diff).sum(axis=2)))
+
+
+def broadcast_distances(robot, obj):
+    diff = robot[:, None, :] - obj[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+@pytest.mark.parametrize("offset", [1e3, 1e6])
+def test_far_scenes_match_broadcast_bitwise(offset):
+    rng = np.random.default_rng(11)
+    robot = rng.normal(scale=0.1, size=(2 * _ROW_CHUNK + 3, 3)) + offset
+    obj = rng.normal(scale=0.1, size=(77, 3)) + offset
+    assert np.array_equal(compute_dro(robot, obj), broadcast_distances(robot, obj))
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("side", ["robot", "object"])
+def test_non_finite_coordinates_match_broadcast(value, side):
+    rng = np.random.default_rng(12)
+    robot = rng.normal(size=(_ROW_CHUNK + 5, 3))
+    obj = rng.normal(size=(40, 3))
+    target = robot if side == "robot" else obj
+    target[3, 0] = value
+    target[-1, 2] = value
+    target[7, 1] = -value
+    with np.errstate(invalid="ignore"):
+        got = compute_dro(robot, obj)
+        want = broadcast_distances(robot, obj)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_input_layouts_match_broadcast_and_stay_unmodified():
+    rng = np.random.default_rng(13)
+    base = rng.normal(size=(3 * _ROW_CHUNK, 6))
+    read_only = base[:_ROW_CHUNK + 1, :3].copy()
+    read_only.flags.writeable = False
+    fortran = np.asfortranarray(base[:50, 3:])
+    strided = base[::2, 1:4]
+    for robot, obj in ((read_only, fortran), (strided, read_only), (fortran, strided)):
+        before = (robot.copy(), obj.copy())
+        want = broadcast_distances(robot, obj)
+        assert np.array_equal(compute_dro(robot, obj), want)
+        assert np.array_equal(robot, before[0]) and np.array_equal(obj, before[1])
+
+
+def test_single_object_point_matches_broadcast():
+    rng = np.random.default_rng(14)
+    obj = rng.normal(size=(1, 3)) + 5.0
+    for n_r in (1, _ROW_CHUNK - 1, _ROW_CHUNK + 1):
+        robot = rng.normal(size=(n_r, 3)) + 5.0
+        assert np.array_equal(compute_dro(robot, obj), broadcast_distances(robot, obj))
+
+
+def test_self_distance_diagonal_is_positive_zero():
+    rng = np.random.default_rng(15)
+    pts = rng.normal(scale=0.1, size=(2 * _ROW_CHUNK + 9, 3)) + np.array([3.0, -4.0, 0.0])
+    diag = np.diag(compute_dro(pts, pts))
+    assert np.all(diag == 0.0) and not np.any(np.signbit(diag))
+
+
+def test_temporaries_are_chunk_sized():
+    # a whole-matrix temporary beside the output would exceed this bound
+    rng = np.random.default_rng(16)
+    robot = rng.normal(size=(512, 3))
+    obj = rng.normal(size=(512, 3))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        mat = compute_dro(robot, obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < mat.nbytes + 3 * _ROW_CHUNK * len(obj) * 8
 
 
 def test_accepts_point_clouds_and_validates():
