@@ -13,7 +13,11 @@ tolerance while the others finish.
 All rows share the references: one SVD checks them for degeneracy, and the
 squared-range residual is linear in (p, ||p||^2, 1), so the closed form and
 every polish step come from a few moments of d^2.  The matrix is read once,
-in ``_ROW_CHUNK``-row blocks, and each step after that costs O(rows).
+in ``_ROW_CHUNK``-row blocks, each checked with one ``min``, and each step
+after that costs O(rows).  Everything that depends on the object alone (its
+centroid frame, the reference check, M, M^-1 and t) is computed once per
+object and kept for the next call on the same object, so a run of
+recoveries against one object pays only for its matrices.
 
 The distance matrix itself is built ``_ROW_CHUNK`` robot rows at a time,
 each coordinate difference coming from BLAS as the GEMM [r_k | 1] @
@@ -25,6 +29,7 @@ cost of a broadcast subtraction.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,6 +101,55 @@ def _reference_system(obj: np.ndarray):
                               f"condition number exceeds {CONDITION_LIMIT:.0e}")
 
 
+@dataclass(frozen=True)
+class _ObjectFrame:
+    """Everything the solver needs from the references alone.
+
+    ``degenerate`` holds the reference check's message, raised only after
+    the matrix values have been checked; ``moment_inv`` is None then.
+    """
+
+    centroid: np.ndarray
+    basis: np.ndarray  # [o | 1], o = p_j - centroid
+    degenerate: str | None
+    moment: np.ndarray  # M = sum_j o_j o_j^T
+    moment_inv: np.ndarray | None
+    t: np.ndarray  # sum_j ||o_j||^2 o_j
+    o_sq_sum: float  # sum_j ||o_j||^2
+
+
+# (obj.tobytes(), frame) of the last object multilaterated; replaced as a
+# whole, so a thread reads either the old pair or the new one
+_last_frame: tuple[bytes, _ObjectFrame] | None = None
+
+
+def _object_frame(obj: np.ndarray) -> _ObjectFrame:
+    """The object's frame, computed once for a run of calls on one object."""
+    global _last_frame
+    key = obj.tobytes()
+    last = _last_frame
+    if last is not None and last[0] == key:
+        return last[1]
+    n = len(obj)
+    centroid = obj.mean(axis=0) if n else np.zeros(3)  # no references: rejected later
+    basis = np.ones((n, 4))
+    o = basis[:, :3]
+    np.subtract(obj, centroid, out=o)
+    try:
+        _reference_system(obj)
+        degenerate = None
+    except DegeneracyError as exc:
+        degenerate = str(exc)
+    o_sq = (o * o).sum(axis=1)
+    moment = o.T @ o
+    frame = _ObjectFrame(centroid, basis, degenerate, moment,
+                         None if degenerate else np.linalg.inv(moment),
+                         o_sq @ o, float(o_sq.sum()))
+    _last_frame = (key, frame)
+    return frame
+
+
+@np.errstate(all="ignore")  # inf * 0 and overflow end in the checks
 def _multilaterate_rows(dist: np.ndarray, obj: np.ndarray) -> np.ndarray:
     """Solve every row of a distance matrix against shared references.
 
@@ -103,8 +157,9 @@ def _multilaterate_rows(dist: np.ndarray, obj: np.ndarray) -> np.ndarray:
     q = p - mean, so sum_j o_j = 0), where the squared-range residual
     f_j = ||q||^2 - 2 q . o_j + ||o_j||^2 - d_j^2 is linear in (q, ||q||^2, 1).
     Every quantity the solver needs is then a moment of d^2, and the matrix
-    is read once: d^2 is formed ``_ROW_CHUNK`` rows at a time and multiplied
-    by [o | 1], giving G = d^2 @ o and g = sum_j d_j^2 per row.
+    is read once: d^2 is formed ``_ROW_CHUNK`` rows at a time in one reused
+    buffer and multiplied by [o | 1], giving G = d^2 @ o and
+    g = sum_j d_j^2 per row.
 
     With M = sum_j o_j o_j^T and t = sum_j ||o_j||^2 o_j, the closed-form
     (linearized least-squares) point is q = -M^-1 (G - t) / 2.  Gauss-Newton
@@ -116,33 +171,37 @@ def _multilaterate_rows(dist: np.ndarray, obj: np.ndarray) -> np.ndarray:
     expanded squares small, so accuracy does not fall off as the object moves
     away from the origin.
 
-    The same pass takes each block's min and max while the block is in
-    cache, so the value checks cost no read of their own.  A non-finite
-    entry is reported before a negative one, and both before the
+    The value checks cost one ``min`` per block, taken while the block is in
+    cache: it catches NaN, -inf and negative entries.  A +inf entry shows
+    as a non-finite g, and only then are the maxima scanned, to tell it from
+    finite entries whose squares overflow (those end in divergence).  A
+    non-finite entry is reported before a negative one, and both before the
     reference check, wherever they sit in the matrix.
     """
+    frame = _object_frame(obj)
     n = len(obj)
-    centroid = obj.mean(axis=0) if n else np.zeros(3)  # no references: rejected below
-    basis = np.ones((n, 4))  # [o | 1]
-    o = basis[:, :3]
-    np.subtract(obj, centroid, out=o)
     sums = np.empty((len(dist), 4))  # [G | g]
+    sq = np.empty((min(_ROW_CHUNK, len(dist)), n))
     lowest = 0.0
     for i in range(0, len(dist), _ROW_CHUNK):
         rows = dist[i:i + _ROW_CHUNK]
-        lo, hi = rows.min(initial=0.0), rows.max(initial=0.0)
-        if not (math.isfinite(lo) and math.isfinite(hi)):  # NaN and +-inf reach one
-            raise ContractError("distance matrix contains non-finite entries")
-        lowest = min(lowest, lo)
-        np.matmul(rows * rows, basis, out=sums[i:i + _ROW_CHUNK])
+        lo = rows.min(initial=0.0)
+        if not lo >= lowest:  # NaN fails every comparison
+            if not math.isfinite(lo):
+                raise ContractError("distance matrix contains non-finite entries")
+            lowest = lo
+        block = sq[:len(rows)]
+        np.multiply(rows, rows, out=block)
+        np.matmul(block, frame.basis, out=sums[i:i + _ROW_CHUNK])
+    if not math.isfinite(sums[:, 3].sum()) and dist.max() == math.inf:
+        raise ContractError("distance matrix contains non-finite entries")
     if lowest < 0.0:
         raise ContractError("distance matrix contains negative entries")
-    _reference_system(obj)
-    o_sq = (o * o).sum(axis=1)
-    moment = o.T @ o
-    moment_inv = np.linalg.inv(moment)
-    residual_o = o_sq @ o - sums[:, :3]  # t - G
-    residual_sum = o_sq.sum() - sums[:, 3]  # sum_j ||o_j||^2 - g
+    if frame.degenerate:
+        raise DegeneracyError(frame.degenerate)
+    moment, moment_inv = frame.moment, frame.moment_inv
+    residual_o = frame.t - sums[:, :3]  # t - G
+    residual_sum = frame.o_sq_sum - sums[:, 3]  # sum_j ||o_j||^2 - g
     q = 0.5 * residual_o @ moment_inv
     for _ in range(_MAX_STEPS):
         f_sum = n * (q * q).sum(axis=1) + residual_sum
@@ -153,7 +212,7 @@ def _multilaterate_rows(dist: np.ndarray, obj: np.ndarray) -> np.ndarray:
         q = q - step
         if np.max(np.abs(step), initial=0.0) < _STEP_TOL:
             break
-    p = q + centroid
+    p = q + frame.centroid
     if not np.all(np.isfinite(p)):
         row = int(np.flatnonzero(~np.isfinite(p).all(axis=1))[0])
         raise DegeneracyError(f"multilateration diverged at row {row}")

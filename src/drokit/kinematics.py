@@ -153,9 +153,9 @@ class KinematicModel:
     The underscored index tables are private to this module.  Other modules
     use ``links``, ``tip_links``, ``dof_index``, :meth:`parent_link`,
     :meth:`parent_joint`, ``_fk_arrays`` and ``_jacobians``.  ``_fk_arrays``
-    composes every link's pose as 4x4 transforms in one (L, 4, 4) buffer and
-    returns its rotations and translations as views of that buffer, which
-    callers must not write to.
+    composes every link's pose as 4x4 transforms and returns the rotations
+    and translations as views of one (L, 4, 4) array made by that call,
+    which callers must not write to.
 
     Attributes
     ----------
@@ -212,7 +212,10 @@ class KinematicModel:
         n = len(self.links)
         self._parent = np.full(n, -1, dtype=int)
         origins = np.zeros((n, 4, 4))
-        self._kind = np.zeros(n, dtype=int)  # 0 fixed, 1 revolute, 2 prismatic
+        # 1.0 where the joint value is an angle / a shift: theta and d are the
+        # value times these, so a fixed joint moves by neither
+        self._revolute = np.zeros(n)
+        self._prismatic = np.zeros(n)
         self._axis = np.zeros((n, 3))
         self._dof = np.full(n, -1, dtype=int)
         for i, name in enumerate(self.links):
@@ -230,9 +233,9 @@ class KinematicModel:
             origins[i] = j.origin
             self._axis[i] = j.axis
             if j.kind in _REVOLUTE_KINDS:
-                self._kind[i] = 1
+                self._revolute[i] = 1.0
             elif j.kind in _PRISMATIC_KINDS:
-                self._kind[i] = 2
+                self._prismatic[i] = 1.0
             if j.movable:
                 self._dof[i] = self.dof_index[j.name]
 
@@ -248,6 +251,13 @@ class KinematicModel:
         basis[:, 3, :3, 3] = (rot @ self._axis[:, :, None])[:, :, 0]
         basis[:, 4, :, 3] = origins[:, :, 3]
         self._local_basis = basis.reshape(n, 5, 16)
+        # the (child, parent) pairs the FK link loop walks, roots left out
+        self._child_parent = [(i, p) for i, p in enumerate(self._parent.tolist()) if p >= 0]
+        # per-DoF Jacobian tables: the joint axis in its child frame, and
+        # 1.0 / 0.0 masks for a revolute / prismatic DoF, shaped to scale it
+        self._dof_axis = self._axis[self._dof_child][:, :, None]
+        self._dof_revolute = self._revolute[self._dof_child][:, None, None]
+        self._dof_prismatic = self._prismatic[self._dof_child][:, None, None]
 
         # dofs on the root->link path, as a boolean mask per link
         self._path_mask = np.zeros((n, self.n_dof), dtype=bool)
@@ -505,22 +515,26 @@ def _fk_arrays(model: KinematicModel, q: np.ndarray) -> tuple[np.ndarray, np.nda
     + (1 - cos(theta)) a a^T and the shift d a along the unit axis a, so
     every link's local pose (origin, then motion) is its weights
     (cos, sin, 1 - cos, d, 1) times the model's per-link basis, all in one
-    batched product, and the link loop is one 4x4 product per link.
+    batched product.  The model keeps 1.0 / 0.0 revolute and prismatic masks
+    per link, so theta and d are the joint value times a mask, and the list
+    of (child, parent) pairs the link loop walks: one 4x4 product per link,
+    on a list of local poses stacked once at the end.
 
-    ``rot`` and ``trans`` are views of one (L,4,4) buffer, so callers must
-    not write to them; copy what is kept or changed.
+    ``rot`` and ``trans`` are views of one (L,4,4) array made by each call,
+    so a later call never changes them; callers must not write to them.
     """
     value = q[model._dof]  # fixed links (_dof = -1) read q's last entry; masked out next
-    theta = np.where(model._kind == 1, value, 0.0)
-    weights = np.ones((len(value), 1, 5))
+    theta = value * model._revolute
+    weights = np.empty((len(value), 1, 5))
     np.cos(theta, out=weights[:, 0, 0])
     np.sin(theta, out=weights[:, 0, 1])
     np.subtract(1.0, weights[:, 0, 0], out=weights[:, 0, 2])
-    weights[:, 0, 3] = np.where(model._kind == 2, value, 0.0)
-    pose = (weights @ model._local_basis).reshape(-1, 4, 4)
-    for i, p in enumerate(model._parent.tolist()):
-        if p >= 0:  # a root's world pose is its local pose
-            pose[i] = pose[p].dot(pose[i])  # ndarray.dot: less call overhead than @ at 4x4
+    np.multiply(value, model._prismatic, out=weights[:, 0, 3])
+    weights[:, 0, 4] = 1.0
+    local = list((weights @ model._local_basis).reshape(-1, 4, 4))
+    for i, p in model._child_parent:  # a root's world pose is its local pose
+        local[i] = local[p].dot(local[i])  # ndarray.dot: less call overhead than @ at 4x4
+    pose = np.array(local)
     return pose[:, :3, :3], pose[:, :3, 3]
 
 
@@ -545,17 +559,17 @@ def _jacobians(model: KinematicModel, rot: np.ndarray, trans: np.ndarray,
     [0 | a] [x | 1]^T.  The (3, 4) blocks of all DoFs form one
     (3 n_dof, 4) table, so every column of every link is one GEMM with the
     homogeneous positions; columns of DoFs off the root->link path are then
-    zeroed.
+    zeroed.  The model keeps each DoF's axis in its child frame and 1.0 / 0.0
+    revolute and prismatic masks, so the world axes are one batched product
+    rot[child] @ axis and the anchors' cross products K(a) @ p another.
     """
     child = model._dof_child  # each joint's axis and anchor live in its child frame
     n = len(child)
-    axis = np.einsum("nij,nj->ni", rot[child], model._axis[child])
-    revolute = (model._kind[child] == 1)[:, None]
-    skew = (np.where(revolute, axis, 0.0) @ _SKEW).reshape(n, 3, 3)  # zero when prismatic
+    axis = rot[child] @ model._dof_axis  # world axes, (n, 3, 1)
+    skew = ((axis * model._dof_revolute)[:, :, 0] @ _SKEW).reshape(n, 3, 3)  # zero when prismatic
     table = np.empty((3, n, 4))
     table[:, :, :3] = skew.transpose(1, 0, 2)
-    table[:, :, 3] = (np.where(revolute, 0.0, axis)
-                      - np.einsum("nij,nj->ni", skew, trans[child])).T
+    table[:, :, 3] = (axis * model._dof_prismatic - skew @ trans[child][:, :, None])[:, :, 0].T
     points = np.ones((len(link_indices), 4))
     points[:, :3] = trans[link_indices]
     jac = (points @ table.reshape(3 * n, 4).T).reshape(-1, 3, n)

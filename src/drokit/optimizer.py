@@ -136,6 +136,9 @@ def solve_joints(model: KinematicModel, targets: dict[str, np.ndarray], q_init,
         if link in targets:
             idx.append(i)
             goal.append(np.asarray(targets[link], dtype=float))
+            if goal[-1].shape != (3,):
+                raise ContractError(f"target for link '{link}' has shape "
+                                    f"{goal[-1].shape}, expected (3,)")
     if len(idx) != len(targets):
         unknown = sorted(set(targets) - set(model.links))
         raise ContractError(f"targets name unknown links: {unknown}")

@@ -1,8 +1,12 @@
+import sys
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import drokit.dro as dro_module
 from drokit import (ContractError, DegeneracyError, PointCloud, compute_dro,
                     multilaterate_point, recover_cloud)
 from drokit.dro import _ROW_CHUNK
@@ -442,3 +446,119 @@ def test_far_object_noisy_recovery_converges():
     noisy = np.abs(compute_dro(robot, obj) + rng.normal(0.0, 1e-2, size=(128, 512)))
     rec = recover_cloud(noisy, obj)
     assert np.abs(rec.points - direct_gauss_newton(noisy, obj, steps=30)).max() < 1e-9
+
+
+@pytest.mark.parametrize("case", ["inf last block", "inf last block coplanar",
+                                  "inf last block after negative", "1e200 everywhere",
+                                  "1e200 row 0", "1e200 row 0 and inf last block"])
+def test_single_check_pass_tells_inf_from_overflow(case):
+    # NaN, -inf and negatives show in each block's min; a +inf entry shows
+    # only in the row sums of squares, as finite entries that overflow do,
+    # and the two must still end in different errors, without a warning
+    rng = np.random.default_rng(26)
+    refs = random_references(rng, 32)
+    if "coplanar" in case:
+        refs[:, 2] = 0.0
+    mat = compute_dro(rng.normal(scale=0.2, size=(2 * _ROW_CHUNK + 3, 3)), refs)
+    if "negative" in case:
+        mat[0, 3] = -1.0
+    if case == "1e200 everywhere":
+        mat[:] = 1e200
+    elif "1e200 row 0" in case:
+        mat[0] = 1e200
+    if "inf" in case:
+        mat[-1, 7] = np.inf
+    error, message = ((ContractError, "non-finite") if "inf" in case
+                      else (DegeneracyError, "multilateration diverged at row 0"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            recover_cloud(mat, refs)
+        row = -1 if "inf" in case else 0
+        with pytest.raises(error, match=message):
+            multilaterate_point(mat[row], refs)
+
+
+# ---------------------------------------------------------------- object frame
+
+def _noisy_matrix(rng, robot, obj):
+    return np.abs(compute_dro(robot, obj) + rng.normal(0.0, 1e-3, size=(len(robot), len(obj))))
+
+
+def test_object_frame_memo_does_not_depend_on_call_order():
+    # the object's frame is kept from one call to the next; alternating two
+    # objects, a degenerate one between them, and an object array changed in
+    # place must all give what the same call gives in another order
+    rng = np.random.default_rng(22)
+    robot = rng.normal(scale=0.2, size=(_ROW_CHUNK + 5, 3))
+    objs = [random_references(rng, 100) for _ in range(2)]
+    mats = [_noisy_matrix(rng, robot, o) for o in objs]
+    flat = objs[0].copy()
+    flat[:, 2] = 0.0
+
+    def recover(k):
+        return recover_cloud(mats[k], objs[k]).points.tobytes()
+
+    forward = [recover(k) for k in (0, 1, 0, 1)]
+    backward = [recover(k) for k in (1, 0, 1, 0)]
+    assert forward == backward[::-1] and forward[0] == forward[2] != forward[1]
+    with pytest.raises(DegeneracyError):
+        recover_cloud(mats[0], flat)
+    assert recover(0) == forward[0]
+
+    shared = objs[0].copy()
+    assert recover_cloud(mats[0], shared).points.tobytes() == forward[0]
+    shared[:] = objs[1]  # same array, new contents
+    assert recover_cloud(mats[1], shared).points.tobytes() == forward[1]
+    shared[:, 2] = 0.0
+    with pytest.raises(DegeneracyError):
+        recover_cloud(mats[1], shared)
+    shared[:] = objs[0]
+    assert recover_cloud(mats[0], shared).points.tobytes() == forward[0]
+    assert multilaterate_point(mats[0][3], shared).tobytes() == \
+        recover_cloud(mats[0][3:4], objs[0]).points[0].tobytes()
+
+
+def test_reference_check_runs_once_per_object(monkeypatch):
+    calls = []
+    check = dro_module._reference_system
+
+    def counting(obj):
+        calls.append(len(obj))
+        return check(obj)
+
+    monkeypatch.setattr(dro_module, "_reference_system", counting)
+    rng = np.random.default_rng(23)
+    obj = random_references(rng, 64)
+    mat = compute_dro(rng.normal(scale=0.2, size=(8, 3)), obj)
+    for _ in range(3):
+        recover_cloud(mat, obj)
+        recover_cloud(mat, PointCloud(obj))
+        multilaterate_point(mat[0], obj)
+    assert len(calls) == 1
+    moved = obj + 1e-3
+    recover_cloud(mat, moved)
+    recover_cloud(mat, moved)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_object_frame_memo_is_thread_safe(workers):
+    # threads alternating two objects replace the kept frame under each
+    # other, switching as often as the interpreter allows; every result must
+    # still be the serial one
+    rng = np.random.default_rng(24)
+    robot = rng.normal(scale=0.2, size=(2 * _ROW_CHUNK, 3))
+    objs = [random_references(rng, 256) for _ in range(2)]
+    mats = [_noisy_matrix(rng, robot, o) for o in objs]
+    serial = [recover_cloud(mats[k], objs[k]).points.tobytes() for k in (0, 1)]
+    jobs = [k % 2 for k in range(200)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(recover_cloud, mats[k], objs[k]) for k in jobs]
+            results = [f.result(timeout=60).points.tobytes() for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [serial[k] for k in jobs]

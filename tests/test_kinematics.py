@@ -262,6 +262,19 @@ def test_fk_deterministic_bitwise():
         assert np.array_equal(a.rotation(link), b.rotation(link))
 
 
+def test_fk_arrays_are_fresh_per_call():
+    # the line search keeps the last iterate's arrays while it evaluates the
+    # next one, so a call must never write into an earlier call's result
+    urdf, _ = hands.five_finger_hand()
+    model = load_model(urdf)
+    rng = np.random.default_rng(12)
+    rot, trans = _fk_arrays(model, rng.uniform(model.lower, model.upper))
+    kept_rot, kept_trans = rot.copy(), trans.copy()
+    rot2, trans2 = _fk_arrays(model, rng.uniform(model.lower, model.upper))
+    assert np.array_equal(rot, kept_rot) and np.array_equal(trans, kept_trans)
+    assert not np.array_equal(trans2, trans)
+
+
 def test_rotations_stay_orthonormal():
     urdf, _ = hands.five_finger_hand()
     model = load_model(urdf)

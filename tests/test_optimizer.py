@@ -97,6 +97,15 @@ def test_unknown_target_link_rejected():
         solve_joints(model, {"ghost": np.zeros(3)}, np.zeros(model.n_dof))
 
 
+@pytest.mark.parametrize("bad", [np.zeros(2), np.zeros((1, 3)), np.zeros(4), 0.0])
+def test_malformed_target_rejected_naming_link(bad):
+    model = load_model(ONE_DOF_URDF)
+    targets = link_targets_at(model, np.zeros(model.n_dof))
+    targets["arm"] = bad
+    with pytest.raises(ContractError, match="'arm'"):
+        solve_joints(model, targets, np.zeros(model.n_dof))
+
+
 def test_trace_monotone_and_within_limits():
     urdf, meshes = hands.three_finger_hand()
     model = load_model(urdf)
