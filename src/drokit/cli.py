@@ -75,6 +75,14 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _report(args, name: str, obj) -> None:
+    """Print a command's summary and write it to the output directory."""
+    print(json.dumps(obj, indent=2, sort_keys=True))
+    out_dir = Path(args.output)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_json(out_dir / name, obj)
+
+
 def _manifest(out_dir: Path, name: str, command: str, seed, inputs: dict,
               params: dict, outputs: list[Path]) -> None:
     doc = {
@@ -158,14 +166,6 @@ def _solve_params(args) -> SolveParams:
 
 def _geometric_links(model: KinematicModel, canonical) -> list[str]:
     return [l for l in model.links if l in canonical or l in model.tip_links]
-
-
-def _random_trial_config(model: KinematicModel, rng: np.random.Generator) -> np.ndarray:
-    q = np.empty(model.n_dof)
-    q[:3] = rng.uniform(-TRIAL_WRIST_RANGE, TRIAL_WRIST_RANGE, 3)
-    q[3:6] = rng.uniform(-np.pi, np.pi, 3)
-    q[6:] = rng.uniform(model.lower[6:], model.upper[6:])
-    return q
 
 
 def _link_errors(model: KinematicModel, links: list[str], q_a, q_b) -> np.ndarray:
@@ -289,13 +289,21 @@ def _prepare_embodiment(args):
     return model, object_cloud
 
 
+def _trial(model: KinematicModel, object_cloud: PointCloud, seed: int, label: str):
+    """A random grasp from substream(seed, label): (q_true, its exact
+    distance matrix, the mid-range start at the true wrist)."""
+    rng = substream(seed, label)
+    q_true = np.empty(model.n_dof)
+    q_true[:3] = rng.uniform(-TRIAL_WRIST_RANGE, TRIAL_WRIST_RANGE, 3)
+    q_true[3:6] = rng.uniform(-np.pi, np.pi, 3)
+    q_true[6:] = rng.uniform(model.lower[6:], model.upper[6:])
+    matrix = compute_dro(cloud_fk(model, q_true, model.canonical_clouds), object_cloud)
+    return q_true, matrix, _mid_range_init(model, q_true[:6])
+
+
 def _run_trial(model: KinematicModel, object_cloud: PointCloud, seed: int,
                trial: int, params: SolveParams):
-    rng = substream(seed, f"trial:{trial}")
-    q_true = _random_trial_config(model, rng)
-    posed = cloud_fk(model, q_true, model.canonical_clouds)
-    matrix = compute_dro(posed, object_cloud)
-    q_init = _mid_range_init(model, q_true[:6])
+    q_true, matrix, q_init = _trial(model, object_cloud, seed, f"trial:{trial}")
     result = recover_grasp(model, matrix, object_cloud, q_init, params)
     links = _geometric_links(model, model.canonical_clouds)
     errors = _link_errors(model, links, result.q, q_true)
@@ -309,19 +317,14 @@ def cmd_roundtrip(args) -> int:
         model, object_cloud = _prepare_embodiment(args)
         params = _solve_params(args)
 
-        def run(i):
-            return _run_trial(model, object_cloud, args.seed, i, params)
-
-        if args.threads > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                results = list(pool.map(run, range(args.trials)))
-        else:
-            results = [run(i) for i in range(args.trials)]
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
+            results = list(pool.map(
+                lambda i: _run_trial(model, object_cloud, args.seed, i, params),
+                range(args.trials)))
 
         all_errors = np.concatenate([r[0] for r in results])
         joint_errors = [r[1] for r in results]
-        stages = ("multilateration", "registration", "optimization")
-        timings = {s: float(np.mean([r[2][s] for r in results])) for s in stages}
+        timings = {s: float(np.mean([r[2][s] for r in results])) for s in results[0][2]}
         out.update({
             "mean_link_error_m": float(all_errors.mean()),
             "max_link_error_m": float(all_errors.max()),
@@ -331,12 +334,7 @@ def cmd_roundtrip(args) -> int:
         })
         out["pass"] = bool(out["mean_link_error_m"] < args.tol_mean
                            and out["max_link_error_m"] < args.tol_max)
-    payload = json.dumps(out, indent=2, sort_keys=True)
-    print(payload)
-    if args.output is not None:
-        out_dir = Path(args.output)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "roundtrip_summary.json").write_text(payload + "\n")
+    _report(args, "roundtrip_summary.json", out)
     if args.trials > 0 and not out["pass"]:
         raise ToleranceFailure(
             f"round-trip error {out['mean_link_error_m']:.2e} mean / "
@@ -347,36 +345,23 @@ def cmd_roundtrip(args) -> int:
 def cmd_bench(args) -> int:
     model, object_cloud = _prepare_embodiment(args)
     params = _solve_params(args)
-    rng = substream(args.seed, "trial:bench")
-    q_true = _random_trial_config(model, rng)
-    posed = cloud_fk(model, q_true, model.canonical_clouds)
-    matrix = compute_dro(posed, object_cloud)
-    q_init = _mid_range_init(model, q_true[:6])
+    _, matrix, q_init = _trial(model, object_cloud, args.seed, "trial:bench")
 
-    stages = ("multilateration", "registration", "optimization")
-    samples: dict[str, list[float]] = {s: [] for s in stages}
-    samples["total"] = []
+    samples: dict[str, list[float]] = {}
     for run in range(args.warmup + args.runs):
         t0 = time.perf_counter()
         result = recover_grasp(model, matrix, object_cloud, q_init, params)
         total = time.perf_counter() - t0
         if run < args.warmup:
             continue
-        for s in stages:
-            samples[s].append(result.elapsed[s])
-        samples["total"].append(total)
+        for name, seconds in [*result.elapsed.items(), ("total", total)]:
+            samples.setdefault(name, []).append(seconds)
 
-    report = {
+    _report(args, "bench_timings.json", {
         name: {"median_s": float(statistics.median(vals)),
                "p95_s": float(np.percentile(vals, 95))}
         for name, vals in samples.items()
-    }
-    payload = json.dumps(report, indent=2, sort_keys=True)
-    print(payload)
-    if args.output is not None:
-        out_dir = Path(args.output)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "bench_timings.json").write_text(payload + "\n")
+    })
     return EXIT_OK
 
 

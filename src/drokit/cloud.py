@@ -129,7 +129,11 @@ def load_obj(text: str) -> TriangleMesh:
         if tag == "v":
             if len(parts) < 4:
                 raise DataError(f"OBJ line {lineno}: vertex needs 3 coordinates")
-            vertices.append([float(v) for v in parts[1:4]])
+            try:
+                vertices.append([float(v) for v in parts[1:4]])
+            except ValueError:
+                raise DataError(f"OBJ line {lineno}: vertex coordinates must be "
+                                f"numbers, got {parts[1:4]}") from None
         elif tag == "f":
             idx = parts[1:]
             if len(idx) != 3:
@@ -137,7 +141,11 @@ def load_obj(text: str) -> TriangleMesh:
             face = []
             for token in idx:
                 v = token.split("/")[0]
-                i = int(v)
+                try:
+                    i = int(v)
+                except ValueError:
+                    raise DataError(f"OBJ line {lineno}: face index must be an "
+                                    f"integer, got {v!r}") from None
                 if i <= 0:
                     raise DataError(f"OBJ line {lineno}: indices must be positive")
                 face.append(i - 1)

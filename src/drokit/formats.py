@@ -102,6 +102,10 @@ def decode_dropc(data: bytes, what: str = "DROPC") -> PointCloud:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"{what}: bad label trailer at byte offset "
                               f"{trailer_off}: {exc}") from exc
+        if not (isinstance(mapping, dict)
+                and all(isinstance(name, str) for name in mapping.values())):
+            raise FormatError(f"{what}: label trailer at byte offset {trailer_off} "
+                              f"is not an object of label names")
         try:
             labels = [mapping[str(i)] for i in idx]
         except KeyError as exc:

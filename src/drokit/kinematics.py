@@ -542,12 +542,11 @@ def forward_kinematics(model: KinematicModel, q) -> LinkPoseSet:
     """World pose of every link at configuration q.
 
     Pure and deterministic: identical inputs give bitwise-identical poses.
+    Each call's per-link arrays are views of one array made by that call.
     """
     q = as_config(model, q)
     rot, trans = _fk_arrays(model, q)
-    rotations = {name: rot[i].copy() for i, name in enumerate(model.links)}
-    translations = {name: trans[i].copy() for i, name in enumerate(model.links)}
-    return LinkPoseSet(rotations, translations)
+    return LinkPoseSet(dict(zip(model.links, rot)), dict(zip(model.links, trans)))
 
 
 def _jacobians(model: KinematicModel, rot: np.ndarray, trans: np.ndarray,

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, DataError
 from .kinematics import (KinematicModel, as_config, clamp_to_limits, in_limits,
                          _fk_arrays, _jacobians)
 
@@ -56,11 +56,19 @@ def write_grasp_records(path, records) -> None:
 
 def read_grasp_records(path) -> list[GraspRecord]:
     records = []
-    with open(path) as fh:
-        for line in fh:
+    with open(path, "rb") as fh:  # a line that is not UTF-8 fails as that line
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                records.append(GraspRecord.from_json_line(line))
+            if not line:
+                continue
+            try:
+                records.append(GraspRecord.from_json_line(line.decode()))
+            except KeyError as exc:
+                raise DataError(f"{path} line {lineno}: grasp record lacks "
+                                f"key {exc}") from exc
+            except (ValueError, TypeError, ContractError) as exc:
+                raise DataError(f"{path} line {lineno}: not a valid grasp "
+                                f"record: {exc}") from exc
     return records
 
 

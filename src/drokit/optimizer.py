@@ -19,7 +19,7 @@ from .cloud import PointCloud
 from .dro import recover_cloud
 from .errors import ContractError, DataError, StageError
 from .kinematics import (FIXED, KinematicModel, LinkPoseSet, as_config,
-                         clamp_to_limits, in_limits, _fk_arrays, _jacobians)
+                         in_limits, _fk_arrays, _jacobians)
 from .registration import register_all
 
 _LINESEARCH_SLOPE = 1e-4
@@ -227,14 +227,28 @@ def link_targets_from_poses(model: KinematicModel, poses: LinkPoseSet) -> dict[s
     return targets
 
 
+def _stage(elapsed: dict[str, float], name: str, fn, *args):
+    """fn(*args), its wall time stored as elapsed[name]; a failure is
+    re-raised as StageError(name, exc)."""
+    t0 = time.perf_counter()
+    try:
+        out = fn(*args)
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+    elapsed[name] = time.perf_counter() - t0
+    return out
+
+
 def recover_grasp(model: KinematicModel, dro: np.ndarray, object_cloud,
                   q_init, params: SolveParams | None = None) -> GraspResult:
     """Distance matrix -> robot cloud -> link poses -> joint configuration.
 
-    Stages are timed separately; failures carry the stage name.
+    The stages are the public calls recover_cloud (multilateration),
+    register_all (registration), and link_targets_from_poses then
+    solve_joints (optimization).  Each is timed into ``elapsed`` in that
+    order, and a failure carries the stage name.  ``q`` is solve_joints'
+    own, already inside the joint limits.
     """
-    if params is None:
-        params = SolveParams()
     canonical = model.canonical_clouds
     if not canonical:
         raise ContractError("model has no canonical clouds attached")
@@ -251,29 +265,10 @@ def recover_grasp(model: KinematicModel, dro: np.ndarray, object_cloud,
                             f"{len(labels)} canonical cloud points")
 
     elapsed: dict[str, float] = {}
-    t0 = time.perf_counter()
-    try:
-        recovered = recover_cloud(dro, object_cloud, labels)
-    except Exception as exc:
-        raise StageError("multilateration", exc) from exc
-    elapsed["multilateration"] = time.perf_counter() - t0
-
+    recovered = _stage(elapsed, "multilateration", recover_cloud, dro, object_cloud, labels)
     parents = {link: model.parent_link(link) for link in model.links}
-    t0 = time.perf_counter()
-    try:
-        poses = register_all(canonical, recovered, parents)
-    except Exception as exc:
-        raise StageError("registration", exc) from exc
-    elapsed["registration"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    try:
-        targets = link_targets_from_poses(model, poses)
-        q, report = solve_joints(model, targets, q_init, params)
-    except Exception as exc:
-        raise StageError("optimization", exc) from exc
-    elapsed["optimization"] = time.perf_counter() - t0
-
-    q = clamp_to_limits(model, q)
+    poses = _stage(elapsed, "registration", register_all, canonical, recovered, parents)
+    q, report = _stage(elapsed, "optimization", lambda: solve_joints(
+        model, link_targets_from_poses(model, poses), q_init, params))
     return GraspResult(q=q, link_poses=poses, recovered_cloud=recovered,
                        report=report, elapsed=elapsed)

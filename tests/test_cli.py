@@ -72,6 +72,15 @@ def test_sample_missing_object_names_path(assets, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+def test_sample_malformed_obj_exit_data(assets, capsys):
+    bad = assets["root"] / "bad.obj"
+    bad.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 x\n")
+    code = run(["--output", assets["root"] / "o", "sample", "--model", assets["urdf"],
+                "--mesh-dir", assets["mesh_dir"], "--object", bad])
+    assert code == 3
+    assert "OBJ line 4" in capsys.readouterr().err
+
+
 def test_sample_bad_urdf_exit_validation(assets, capsys):
     bad = assets["root"] / "bad.urdf"
     bad.write_text("<robot name='x'><link name='a'></robot>")
@@ -126,12 +135,27 @@ def test_compute_dro_file_size(assets):
 def test_corrupt_cloud_exit_data(assets, capsys):
     out = assets["root"] / "out"
     robot, obj = sample_into(assets, out)
-    truncated = assets["root"] / "trunc.dropc"
-    truncated.write_bytes(robot.read_bytes()[:40])
-    code = run(["--output", out, "compute-dro", truncated, obj,
-                "--model", assets["urdf"], "--q", "0"])
+    data = robot.read_bytes()
+    trailer_off = data.rindex(b"{")
+    # truncated, and a label trailer that is JSON but not an object of names
+    for corrupt, offset in ((data[:40], ""), (data[:trailer_off] + b"[1]", trailer_off)):
+        bad = assets["root"] / "bad.dropc"
+        bad.write_bytes(corrupt)
+        code = run(["--output", out, "compute-dro", bad, obj,
+                    "--model", assets["urdf"], "--q", "0"])
+        assert code == 3
+        assert f"byte offset {offset}" in capsys.readouterr().err
+
+
+def test_malformed_grasp_file_exit_data(assets, capsys):
+    out = assets["root"] / "out"
+    robot, obj = sample_into(assets, out)
+    grasps = assets["root"] / "grasps.jsonl"
+    grasps.write_text('{"robot": "r"}\n')
+    code = run(["--output", out, "compute-dro", robot, obj,
+                "--model", assets["urdf"], "--grasp-file", grasps])
     assert code == 3
-    assert "byte offset" in capsys.readouterr().err
+    assert f"{grasps} line 1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- recover

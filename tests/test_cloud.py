@@ -142,6 +142,11 @@ def test_obj_rejects_quads():
     text = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n"
     with pytest.raises(DataError):
         load_obj(text)
+    # malformed numbers are data errors naming their line, not bare ValueErrors
+    head = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+    for bad in ("v a b c", "f 1 2 x", "f 1 2 1.5", "f 1 2 /3"):
+        with pytest.raises(DataError, match="OBJ line 4"):
+            load_obj(head + bad + "\n")
 
 
 # ---------------------------------------------------------------- FPS

@@ -66,10 +66,13 @@ def test_dropc_trailing_garbage_rejected():
 def test_dropc_bad_trailer_json():
     cloud = PointCloud(np.zeros((2, 3)), labels=["a", "a"])
     data = encode_dropc(cloud)
-    broken = data[: data.rindex(b"{")] + b"{not json"
-    with pytest.raises(FormatError) as err:
-        decode_dropc(broken)
-    assert "trailer" in str(err.value)
+    trailer_off = data.rindex(b"{")
+    # not JSON, JSON that is not an object, and an object whose names are
+    # not strings
+    for trailer in (b"{not json", b"[1]", b"5", b'{"0":1}'):
+        with pytest.raises(FormatError) as err:
+            decode_dropc(data[:trailer_off] + trailer)
+        assert f"trailer at byte offset {trailer_off}" in str(err.value)
 
 
 def test_dropc_version_checked():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from drokit import (ContractError, GraspRecord, controller_targets,
+from drokit import (ContractError, DataError, GraspRecord, controller_targets,
                     disturbance_forces, diversity, forward_kinematics,
                     in_limits, load_model, per_dimension_std,
                     read_grasp_records, write_grasp_records)
@@ -276,3 +276,20 @@ def test_grasp_record_jsonl_round_trip(tmp_path):
 def test_grasp_record_validates_provenance():
     with pytest.raises(ContractError):
         GraspRecord("r", "o", np.zeros(3), provenance="guessed")
+
+
+@pytest.mark.parametrize("bad", [
+    b'{"robot": "r", "object"',                     # not JSON
+    b'{"robot": "r"}',                              # no object or q
+    b'{"robot": "r", "object": "o", "q": ["a"]}',   # q not numbers
+    b'{"robot": "r", "object": "o", "q": 5}',       # q not a vector
+    b'[1, 2]',                                      # not an object
+    b'\xff\xfe{}',                                  # not UTF-8
+], ids=["not-json", "missing-keys", "q-not-numbers", "q-not-vector", "not-object",
+        "not-utf8"])
+def test_malformed_grasp_file_names_file_and_line(tmp_path, bad):
+    path = tmp_path / "grasps.jsonl"
+    path.write_bytes(record(np.zeros(3)).to_json_line().encode() + b"\n\n" + bad + b"\n")
+    with pytest.raises(DataError) as err:
+        read_grasp_records(path)
+    assert f"{path} line 3" in str(err.value)

@@ -5,8 +5,8 @@ import pytest
 
 from drokit import (ContractError, DataError, SolveParams, StageError,
                     cloud_fk, compute_dro, forward_kinematics, in_limits,
-                    link_targets_from_poses, load_model, recover_grasp,
-                    register_all, solve_joints)
+                    link_targets_from_poses, load_model, recover_cloud,
+                    recover_grasp, register_all, solve_joints)
 from drokit.errors import DegeneracyError
 from drokit.optimizer import _bounded_damped_step
 from drokit.rng import substream
@@ -282,6 +282,34 @@ def test_recover_grasp_deterministic(three_finger):
     b = recover_grasp(model, matrix, object_cloud, q_init)
     assert np.array_equal(a.q, b.q)
     assert np.array_equal(a.recovered_cloud.points, b.recovered_cloud.points)
+
+
+@pytest.mark.parametrize("hand", ["three_finger", "five_finger"])
+def test_recover_grasp_is_its_public_stages(hand, request):
+    # the chain recover_cloud -> register_all -> link_targets_from_poses ->
+    # solve_joints, called by hand, gives recover_grasp's q bit for bit
+    model, _, object_cloud = request.getfixturevalue(hand)
+    canonical = model.canonical_clouds
+    labels = [link for link, pts in canonical.items() for _ in range(len(pts))]
+    parents = {link: model.parent_link(link) for link in model.links}
+    rng = substream(31, hand)
+    for _ in range(2):
+        q_true = _random_grasp(model, rng)
+        exact = compute_dro(cloud_fk(model, q_true, canonical), object_cloud)
+        noisy = np.abs(exact + rng.normal(0.0, 1e-3, size=exact.shape))
+        for matrix in (exact, noisy):
+            for wrist in (q_true[:6], np.zeros(6)):
+                q_init = 0.5 * (model.lower + model.upper)
+                q_init[:6] = wrist
+                result = recover_grasp(model, matrix, object_cloud, q_init)
+                poses = register_all(canonical, recover_cloud(matrix, object_cloud, labels),
+                                     parents)
+                q, report = solve_joints(model, link_targets_from_poses(model, poses), q_init)
+                assert result.q.tobytes() == q.tobytes()
+                assert result.report == report
+                assert in_limits(model, result.q)
+                assert list(result.elapsed) == ["multilateration", "registration",
+                                                 "optimization"]
 
 
 def test_small_object_cloud_fails_in_multilateration_stage(three_finger):
