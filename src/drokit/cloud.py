@@ -8,6 +8,7 @@ outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -120,6 +121,7 @@ def load_obj(text: str) -> TriangleMesh:
     """
     vertices = []
     faces = []
+    face_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -130,10 +132,13 @@ def load_obj(text: str) -> TriangleMesh:
             if len(parts) < 4:
                 raise DataError(f"OBJ line {lineno}: vertex needs 3 coordinates")
             try:
-                vertices.append([float(v) for v in parts[1:4]])
+                vertex = [float(v) for v in parts[1:4]]
             except ValueError:
+                vertex = [math.nan]
+            if not all(math.isfinite(v) for v in vertex):
                 raise DataError(f"OBJ line {lineno}: vertex coordinates must be "
-                                f"numbers, got {parts[1:4]}") from None
+                                f"finite numbers, got {parts[1:4]}")
+            vertices.append(vertex)
         elif tag == "f":
             idx = parts[1:]
             if len(idx) != 3:
@@ -150,9 +155,14 @@ def load_obj(text: str) -> TriangleMesh:
                     raise DataError(f"OBJ line {lineno}: indices must be positive")
                 face.append(i - 1)
             faces.append(face)
+            face_lines.append(lineno)
         # other tags (vn, vt, o, g, s, usemtl, mtllib) are ignored
     if not vertices:
         raise DataError("OBJ has no vertices")
+    for lineno, face in zip(face_lines, faces):
+        if max(face) >= len(vertices):
+            raise DataError(f"OBJ line {lineno}: face index {max(face) + 1} exceeds "
+                            f"the {len(vertices)} vertices")
     mesh = TriangleMesh(np.array(vertices), np.array(faces, dtype=np.int64).reshape(-1, 3))
     if len(mesh.triangles):
         areas = mesh.areas()

@@ -296,19 +296,34 @@ class KinematicModel:
             raise ContractError(f"unknown link '{link}'") from None
 
 
-def _parse_origin(elem) -> np.ndarray:
-    xyz = [0.0, 0.0, 0.0]
-    rpy = [0.0, 0.0, 0.0]
+def _text(el, key: str, what: str) -> str:
+    """Required string attribute ``key`` of the element ``what`` names."""
+    value = el.attrib.get(key)
+    if value is None:
+        raise UrdfError(f"{what} has no '{key}' attribute")
+    return value
+
+
+def _numbers(el, key: str, count: int, what: str, default=None) -> list[float]:
+    """``count`` finite floats from attribute ``key``; ``default`` when it is
+    absent, or UrdfError naming ``what`` and ``key`` when no default is given."""
+    if key not in el.attrib and default is not None:
+        return default
+    raw = _text(el, key, what)
+    try:
+        values = [float(v) for v in raw.split()]
+    except ValueError:
+        values = []
+    if len(values) != count or not all(math.isfinite(v) for v in values):
+        raise UrdfError(f"{what} '{key}' must be {count} finite number(s), got {raw!r}")
+    return values
+
+
+def _parse_origin(elem, what: str) -> np.ndarray:
+    xyz = rpy = [0.0, 0.0, 0.0]
     if elem is not None:
-        try:
-            if "xyz" in elem.attrib:
-                xyz = [float(v) for v in elem.attrib["xyz"].split()]
-            if "rpy" in elem.attrib:
-                rpy = [float(v) for v in elem.attrib["rpy"].split()]
-        except ValueError as exc:
-            raise UrdfError(f"origin has non-numeric xyz/rpy: {exc}") from exc
-        if len(xyz) != 3 or len(rpy) != 3:
-            raise UrdfError("origin xyz/rpy must have three components")
+        xyz = _numbers(elem, "xyz", 3, what, xyz)
+        rpy = _numbers(elem, "rpy", 3, what, rpy)
     t = np.eye(4)
     t[:3, :3] = matrix_from_rpy(*rpy)
     t[:3, 3] = xyz
@@ -364,7 +379,9 @@ def load_model(urdf_text: str, *, virtual_tip_extension_length: float = 0.02) ->
     Raises
     ------
     UrdfError
-        Malformed XML; the message includes the offending line number.
+        Malformed XML, where the message includes the offending line number,
+        or a missing, non-numeric or non-finite attribute, where it names the
+        link or joint and the attribute.
     StructureError
         Kinematic loops, multiple roots, missing limits on movable joints,
         unsupported joint types.
@@ -376,7 +393,8 @@ def load_model(urdf_text: str, *, virtual_tip_extension_length: float = 0.02) ->
         raise UrdfError(f"URDF parse error at line {line}, column {col}: "
                         f"{exc.msg if hasattr(exc, 'msg') else exc}") from exc
 
-    link_names = [el.attrib["name"] for el in root.findall("link")]
+    link_names = [_text(el, "name", f"link element {i + 1}")
+                  for i, el in enumerate(root.findall("link"))]
     if len(set(link_names)) != len(link_names):
         raise StructureError("duplicate link names in URDF")
     if not link_names:
@@ -384,21 +402,19 @@ def load_model(urdf_text: str, *, virtual_tip_extension_length: float = 0.02) ->
     link_set = set(link_names)
 
     urdf_joints: list[JointSpec] = []
-    for el in root.findall("joint"):
-        name = el.attrib.get("name")
-        kind = el.attrib.get("type")
-        if name is None or kind is None:
-            raise StructureError("joint element missing name or type")
+    for i, el in enumerate(root.findall("joint")):
+        name = _text(el, "name", f"joint element {i + 1}")
+        kind = _text(el, "type", f"joint '{name}'")
         parent_el = el.find("parent")
         child_el = el.find("child")
         if parent_el is None or child_el is None:
             raise StructureError(f"joint '{name}' missing parent or child")
-        parent = parent_el.attrib["link"]
-        child = child_el.attrib["link"]
+        parent = _text(parent_el, "link", f"joint '{name}' parent")
+        child = _text(child_el, "link", f"joint '{name}' child")
         for link in (parent, child):
             if link not in link_set:
                 raise StructureError(f"joint '{name}' references unknown link '{link}'")
-        origin = _parse_origin(el.find("origin"))
+        origin = _parse_origin(el.find("origin"), f"joint '{name}' origin")
 
         if kind == "continuous":
             # no URDF limits by definition; treated as a full-turn revolute
@@ -406,12 +422,10 @@ def load_model(urdf_text: str, *, virtual_tip_extension_length: float = 0.02) ->
             limits = (-math.pi, math.pi)
         elif kind in (REVOLUTE, PRISMATIC):
             limit_el = el.find("limit")
-            if limit_el is None or "lower" not in limit_el.attrib or "upper" not in limit_el.attrib:
+            if limit_el is None:
                 raise StructureError(f"movable joint '{name}' has no limits")
-            try:
-                limits = (float(limit_el.attrib["lower"]), float(limit_el.attrib["upper"]))
-            except ValueError as exc:
-                raise StructureError(f"joint '{name}' has non-numeric limits: {exc}") from exc
+            limits = tuple(_numbers(limit_el, key, 1, f"joint '{name}' limit")[0]
+                           for key in ("lower", "upper"))
             if limits[0] > limits[1]:
                 raise StructureError(f"joint '{name}' has lower limit above upper")
         elif kind == FIXED:
@@ -423,14 +437,8 @@ def load_model(urdf_text: str, *, virtual_tip_extension_length: float = 0.02) ->
             axis = np.zeros(3)
         else:
             axis_el = el.find("axis")
-            axis = np.array([1.0, 0.0, 0.0])
-            if axis_el is not None:
-                try:
-                    axis = np.array([float(v) for v in axis_el.attrib["xyz"].split()])
-                except ValueError as exc:
-                    raise StructureError(f"joint '{name}' has non-numeric axis: {exc}") from exc
-                if axis.shape != (3,):
-                    raise StructureError(f"joint '{name}' axis must have three components")
+            axis = np.array([1.0, 0.0, 0.0] if axis_el is None
+                            else _numbers(axis_el, "xyz", 3, f"joint '{name}' axis"))
             norm = np.linalg.norm(axis)
             if norm < 1e-12:
                 raise StructureError(f"joint '{name}' has zero axis")

@@ -17,6 +17,8 @@ from .errors import ContractError, DataError
 from .rng import substream
 
 _POINT_CHUNK = 128  # bounds the (points x triangles) working arrays
+_WATERTIGHT_PROBES = 32  # random probes around the mesh in check_watertight
+_WATERTIGHT_TOL = 1e-3  # largest winding-number drift from an integer
 
 
 def contrastive_weights(points_b: np.ndarray, lam: float,
@@ -106,58 +108,28 @@ def dro_l1_loss(pred: np.ndarray, gt: np.ndarray) -> float:
 
 
 def _closest_point_distances(points: np.ndarray, corners: np.ndarray) -> np.ndarray:
-    """Distance from each point to each triangle, (N, T)."""
-    a = corners[:, 0]
-    ab = corners[:, 1] - a
-    ac = corners[:, 2] - a
+    """Distance from each point to each triangle, (N, T).
+
+    A point whose projection falls inside the triangle is at its plane
+    distance; any other point is nearest to one of the three edges.
+    """
     p = points[:, None, :]
-
-    ap = p - a
-    d1 = (ab * ap).sum(axis=2)
-    d2 = (ac * ap).sum(axis=2)
-    bp = p - corners[:, 1]
-    d3 = (ab * bp).sum(axis=2)
-    d4 = (ac * bp).sum(axis=2)
-    cp = p - corners[:, 2]
-    d5 = (ab * cp).sum(axis=2)
-    d6 = (ac * cp).sum(axis=2)
-
-    va = d3 * d6 - d5 * d4
-    vb = d5 * d2 - d1 * d6
-    vc = d1 * d4 - d3 * d2
-
-    def safe_div(num, den):
-        return num / np.where(den == 0.0, 1.0, den)
-
-    with np.errstate(invalid="ignore", divide="ignore"):
-        v_ab = safe_div(d1, d1 - d3)[..., None]
-        v_ac = safe_div(d2, d2 - d6)[..., None]
-        v_bc = safe_div(d4 - d3, (d4 - d3) + (d5 - d6))[..., None]
-        denom = safe_div(np.ones_like(va), va + vb + vc)
-        v_face = (vb * denom)[..., None]
-        w_face = (vc * denom)[..., None]
-
-        # Ericson region tests, highest priority first
-        conds = [
-            (d1 <= 0.0) & (d2 <= 0.0),                      # vertex A
-            (d3 >= 0.0) & (d4 <= d3),                       # vertex B
-            (d6 >= 0.0) & (d5 <= d6),                       # vertex C
-            (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0),        # edge AB
-            (vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0),        # edge AC
-            (va <= 0.0) & (d4 >= d3) & (d5 >= d6),          # edge BC
-        ]
-        choices = [
-            np.broadcast_to(a[None, :, :], (len(points),) + a.shape),
-            np.broadcast_to(corners[None, :, 1, :], (len(points),) + a.shape),
-            np.broadcast_to(corners[None, :, 2, :], (len(points),) + a.shape),
-            a + v_ab * ab,
-            a + v_ac * ac,
-            corners[:, 1] + v_bc * (corners[:, 2] - corners[:, 1]),
-        ]
-        closest = a + v_face * ab + w_face * ac
-        for cond, choice in zip(reversed(conds), reversed(choices)):
-            closest = np.where(cond[..., None], choice, closest)
-    return np.linalg.norm(p - closest, axis=2)
+    n = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    nn = np.linalg.norm(n, axis=1)
+    inside = nn > 0.0
+    edge = np.inf
+    for k in range(3):
+        e0 = corners[:, k]
+        e = corners[:, (k + 1) % 3] - e0
+        ep = p - e0
+        ee = (e * e).sum(axis=1)
+        # a zero-length edge counts as its endpoint
+        t = np.clip((ep * e).sum(axis=2) / np.where(ee > 0.0, ee, 1.0), 0.0, 1.0)
+        edge = np.minimum(edge, np.linalg.norm(ep - t[..., None] * e, axis=2))
+        # on the inner side of the edge, (e x ep) . n = ep . (n x e) >= 0
+        inside = inside & ((ep * np.cross(n, e)).sum(axis=2) >= 0.0)
+    plane = np.abs(((p - corners[:, 0]) * n).sum(axis=2)) / np.where(nn > 0.0, nn, 1.0)
+    return np.where(inside, plane, edge)
 
 
 def _solid_angles(points: np.ndarray, corners: np.ndarray) -> np.ndarray:
@@ -193,13 +165,13 @@ def signed_distances(points, mesh: TriangleMesh) -> np.ndarray:
     dist = np.empty(len(pts))
     for i in range(0, len(pts), _POINT_CHUNK):
         chunk = pts[i:i + _POINT_CHUNK]
-        dist[i:i + _POINT_CHUNK] = _closest_point_distances(chunk, corners).min(axis=1)
-    inside = winding_numbers(pts, mesh) > 0.5
-    dist[inside] = -dist[inside]
+        d = _closest_point_distances(chunk, corners).min(axis=1)
+        inside = _solid_angles(chunk, corners).sum(axis=1) / (4.0 * np.pi) > 0.5
+        dist[i:i + _POINT_CHUNK] = np.where(inside, -d, d)
     return dist
 
 
-def check_watertight(mesh: TriangleMesh, n_probes: int = 32, tol: float = 1e-3) -> None:
+def check_watertight(mesh: TriangleMesh) -> None:
     """Raise DataError unless winding numbers are integer-consistent on a
     deterministic probe set around the mesh."""
     if len(mesh.triangles) == 0:
@@ -208,7 +180,7 @@ def check_watertight(mesh: TriangleMesh, n_probes: int = 32, tol: float = 1e-3) 
     hi = mesh.vertices.max(axis=0)
     span = np.maximum(hi - lo, 1e-9)
     rng = substream(0, "watertight-probe")
-    probes = lo - 0.25 * span + rng.random((n_probes, 3)) * (1.5 * span)
+    probes = lo - 0.25 * span + rng.random((_WATERTIGHT_PROBES, 3)) * (1.5 * span)
     probes = np.vstack([probes, hi + span])  # guaranteed-outside probe
     w = winding_numbers(probes, mesh)
     # ignore probes that sit on the surface itself
@@ -216,9 +188,9 @@ def check_watertight(mesh: TriangleMesh, n_probes: int = 32, tol: float = 1e-3) 
     dist = _closest_point_distances(probes, corners).min(axis=1)
     usable = dist > 1e-9 * float(span.max())
     drift = np.abs(w[usable] - np.round(w[usable]))
-    if drift.size and drift.max() > tol:
+    if drift.size and drift.max() > _WATERTIGHT_TOL:
         raise DataError(f"mesh is not watertight: winding number drift "
-                        f"{drift.max():.3g} exceeds {tol}")
+                        f"{drift.max():.3g} exceeds {_WATERTIGHT_TOL}")
 
 
 def penetration_loss(robot_cloud, object_mesh: TriangleMesh) -> float:

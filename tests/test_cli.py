@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -74,20 +75,25 @@ def test_sample_missing_object_names_path(assets, capsys):
 
 def test_sample_malformed_obj_exit_data(assets, capsys):
     bad = assets["root"] / "bad.obj"
-    bad.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 x\n")
-    code = run(["--output", assets["root"] / "o", "sample", "--model", assets["urdf"],
-                "--mesh-dir", assets["mesh_dir"], "--object", bad])
-    assert code == 3
-    assert "OBJ line 4" in capsys.readouterr().err
+    for line in ("f 1 2 x", "f 1 2 9", "v nan 0 0"):
+        bad.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\n" + line + "\n")
+        code = run(["--output", assets["root"] / "o", "sample", "--model", assets["urdf"],
+                    "--mesh-dir", assets["mesh_dir"], "--object", bad])
+        assert code == 3
+        assert "OBJ line 4" in capsys.readouterr().err
 
 
 def test_sample_bad_urdf_exit_validation(assets, capsys):
     bad = assets["root"] / "bad.urdf"
-    bad.write_text("<robot name='x'><link name='a'></robot>")
-    code = run(["--output", assets["root"] / "o", "sample", "--model", bad,
-                "--mesh-dir", assets["mesh_dir"]])
-    assert code == 2
-    assert "line" in capsys.readouterr().err
+    inf_axis = re.sub(r'<axis xyz="[^"]*"', '<axis xyz="inf 0 0"',
+                      assets["urdf"].read_text(), count=1)
+    for text, names in (("<robot name='x'><link name='a'></robot>", "line"),
+                        (inf_axis, "axis 'xyz'")):
+        bad.write_text(text)
+        code = run(["--output", assets["root"] / "o", "sample", "--model", bad,
+                    "--mesh-dir", assets["mesh_dir"]])
+        assert code == 2
+        assert names in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- compute-dro

@@ -140,6 +140,38 @@ def test_missing_limit_rejected():
         load_model(urdf)
 
 
+_ONE_JOINT = """<robot name="x">
+  <link name="a"/><link name="b"/>
+  <joint name="j" type="revolute">
+    <parent link="a"/><child link="b"/>
+    <origin xyz="0 0 0.1" rpy="0 0 0"/><axis xyz="0 0 1"/><limit lower="-1" upper="1"/>
+  </joint>
+</robot>"""
+
+
+@pytest.mark.parametrize("good, bad, message", [
+    ('<link name="b"/>', "<link/>", "link element 2 has no 'name'"),
+    ('<parent link="a"/>', "<parent/>", "joint 'j' parent has no 'link'"),
+    ('<child link="b"/>', "<child/>", "joint 'j' child has no 'link'"),
+    ('<axis xyz="0 0 1"/>', "<axis/>", "joint 'j' axis has no 'xyz'"),
+    ('<axis xyz="0 0 1"/>', '<axis xyz="inf 0 0"/>', "joint 'j' axis 'xyz'"),
+    ('<axis xyz="0 0 1"/>', '<axis xyz="0 1"/>', "joint 'j' axis 'xyz'"),
+    ('<axis xyz="0 0 1"/>', '<axis xyz="0 z 1"/>', "joint 'j' axis 'xyz'"),
+    ('lower="-1"', 'lower="nan"', "joint 'j' limit 'lower'"),
+    ('upper="1"', 'upper="one"', "joint 'j' limit 'upper'"),
+    ('upper="1"', "", "joint 'j' limit has no 'upper'"),
+    ('xyz="0 0 0.1"', 'xyz="nan 0 0"', "joint 'j' origin 'xyz'"),
+    ('rpy="0 0 0"', 'rpy="0 0"', "joint 'j' origin 'rpy'"),
+], ids=["link-name", "parent-link", "child-link", "axis-missing", "axis-inf",
+        "axis-short", "axis-text", "limit-nan", "limit-text", "limit-missing",
+        "origin-nan", "origin-short"])
+def test_malformed_urdf_attribute_names_element(good, bad, message):
+    load_model(_ONE_JOINT)
+    assert good in _ONE_JOINT
+    with pytest.raises(UrdfError, match=re.escape(message)):
+        load_model(_ONE_JOINT.replace(good, bad))
+
+
 def test_two_roots_rejected():
     urdf = """<robot name="x">
       <link name="a"/><link name="b"/><link name="c"/>

@@ -7,6 +7,7 @@ from drokit import (ContractError, DataError, TriangleMesh, contrastive_loss,
                     contrastive_weights, dro_l1_loss, penetration_loss,
                     pose_loss, signed_distances)
 from drokit.kinematics import matrix_from_rpy
+from drokit.losses import _closest_point_distances
 
 from geometry import box_mesh, icosphere, random_rotation
 
@@ -288,6 +289,52 @@ def test_matches_brute_force_sdf():
         w = sum(brute_solid_angle(p, tri) for tri in mesh.corners()) / (4 * math.pi)
         expected = -d if w > 0.5 else d
         assert abs(s - expected) < 1e-9
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def region_points(tri):
+    """Points in every vertex, edge and face region of ``tri``, on both sides
+    of its plane, plus points exactly on its vertices and edges."""
+    a, b, c = tri
+    n = np.cross(b - a, c - a)
+    if not n.any():  # collinear: offset along any normal of the line
+        n = np.cross(b - a, [0.3, 0.5, 0.8])
+    n = _unit(n)
+    base = [a, b, c, (a + b + c) / 3.0, 0.6 * a + 0.3 * b + 0.1 * c]
+    for k in range(3):
+        v, u, w = tri[k], tri[(k + 1) % 3], tri[(k + 2) % 3]
+        out = np.cross(u - v, n)
+        if out @ (w - v) > 0.0:
+            out = -out
+        base += [v + 0.25 * (u - v), 0.5 * (v + u),           # on the edge
+                 0.5 * (v + u) + 0.4 * _unit(out),            # edge region
+                 0.25 * v + 0.75 * u + 0.1 * _unit(out)]
+        corner = -(_unit(u - v) + _unit(w - v))
+        if corner.any():                                      # vertex region
+            base += [v + 0.4 * _unit(corner), v + 0.05 * _unit(corner)]
+    return [p + h * n for p in base for h in (0.0, 0.3, -0.3, 1e-9)]
+
+
+def test_distance_in_every_triangle_region():
+    rot = random_rotation(np.random.default_rng(12))
+    shift = np.array([0.25, -0.5, 0.75])
+    triangles = {
+        "regular": np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                             [0.5, math.sqrt(3.0) / 2.0, 0.0]]) @ rot.T + shift,
+        "obtuse": np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                            [-0.6, 0.3, 0.0]]) @ rot.T + shift,
+        # dyadic coordinates keep the corners exactly on one line
+        "collinear": np.array([[0.0, 0.0, 0.0], [0.5, 1.0, -1.0],
+                               [1.25, 2.5, -2.5]]) + shift,
+    }
+    for name, tri in triangles.items():
+        pts = np.array(region_points(tri))
+        ours = _closest_point_distances(pts, tri[None])[:, 0]
+        brute = np.array([brute_point_triangle_distance(p, tri) for p in pts])
+        assert np.abs(ours - brute).max() < 1e-14, name
 
 
 def test_non_watertight_mesh_rejected():
