@@ -29,10 +29,14 @@ import copy
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ContractError, StructureError, UrdfError
+
+if TYPE_CHECKING:
+    from .registration import _CloudSegments
 
 REVOLUTE = "revolute"
 PRISMATIC = "prismatic"
@@ -151,11 +155,13 @@ class KinematicModel:
     """Immutable augmented kinematic tree.
 
     The underscored index tables are private to this module.  Other modules
-    use ``links``, ``tip_links``, ``dof_index``, :meth:`parent_link`,
-    :meth:`parent_joint`, ``_fk_arrays`` and ``_jacobians``.  ``_fk_arrays``
-    composes every link's pose as 4x4 transforms and returns the rotations
-    and translations as views of one (L, 4, 4) array made by that call,
-    which callers must not write to.
+    use ``links``, ``tip_links``, ``dof_index``, ``lower``, ``upper``,
+    ``canonical_clouds``, ``recovery_plan``, :meth:`parent_link`,
+    :meth:`parent_joint`, and the module functions ``_fk_arrays``,
+    ``_jacobians`` and ``_fixed_extensions``.
+    ``_fk_arrays`` composes every link's pose as 4x4 transforms and returns
+    the rotations and translations as views of one (L, 4, 4) array made by
+    that call, which callers must not write to.
 
     Attributes
     ----------
@@ -176,15 +182,19 @@ class KinematicModel:
         The appended virtual tip-extension links.
     canonical_clouds : dict or None
         Per-link canonical point arrays, attached via :meth:`with_clouds`.
+    recovery_plan : read-only tables or None
+        What grasp recovery needs of the model, built once with the clouds;
+        None without clouds.
     """
 
-    def __init__(self, links, joints, dof_index, tip_links, canonical_clouds=None):
+    def __init__(self, links, joints, dof_index, tip_links):
         self.links: tuple[str, ...] = tuple(links)
         self.joints: tuple[JointSpec, ...] = tuple(joints)
         self.dof_index: dict[str, int] = dict(dof_index)
         self.n_dof: int = len(self.dof_index)
         self.tip_links: tuple[str, ...] = tuple(tip_links)
-        self.canonical_clouds = canonical_clouds
+        self.canonical_clouds = None
+        self._plan = None
         self._build_tables()
 
     def _build_tables(self):
@@ -270,14 +280,22 @@ class KinematicModel:
 
     def with_clouds(self, canonical_clouds: dict[str, np.ndarray]) -> "KinematicModel":
         """Copy sharing this model's tables, with canonical clouds attached in
-        ``links`` order (the row order of ``cloud_fk``) whatever the dict's order."""
+        ``links`` order (the row order of ``cloud_fk``) whatever the dict's
+        order, and the recovery plan built from them.  The attached arrays
+        are read-only copies, so the clouds and the plan cannot disagree."""
         for link in canonical_clouds:
             if link not in self._link_index:
                 raise ContractError(f"cloud for unknown link '{link}'")
         model = copy.copy(self)
-        model.canonical_clouds = {k: np.ascontiguousarray(canonical_clouds[k], dtype=float)
+        model.canonical_clouds = {k: _frozen(np.array(canonical_clouds[k], dtype=float))
                                   for k in self.links if k in canonical_clouds}
+        model._plan = _recovery_plan(model) if model.canonical_clouds else None
         return model
+
+    @property
+    def recovery_plan(self) -> _RecoveryPlan | None:
+        """Per-model tables of ``recover_grasp``; None without canonical clouds."""
+        return self._plan
 
     def parent_link(self, link: str) -> str | None:
         """Parent link name, or None when the parent is the world frame."""
@@ -294,6 +312,78 @@ class KinematicModel:
             return self._link_index[link]
         except KeyError:
             raise ContractError(f"unknown link '{link}'") from None
+
+
+@dataclass(frozen=True)
+class _Extensions:
+    """Fixed-joint children of posed links: each is its posed ancestor
+    (``slot`` into the posed links) moved by ``offset`` in that ancestor's
+    frame."""
+
+    links: tuple[str, ...]
+    slot: np.ndarray
+    offset: np.ndarray
+
+
+@dataclass(frozen=True)
+class _RecoveryPlan:
+    """Everything ``recover_grasp`` needs that depends on the model alone.
+
+    ``labels`` are the rows' links in canonical-cloud order.  ``segments`` is
+    None when a canonical cloud cannot be registered, and ``problem`` says
+    why.  The solve's targets are the cloud links then the extensions;
+    ``target_order`` puts them in model order, the links ``target_index``.
+    """
+
+    labels: tuple[str, ...]
+    segments: _CloudSegments | None
+    problem: str | None
+    extensions: _Extensions
+    target_index: np.ndarray
+    target_order: np.ndarray
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _fixed_extensions(model: KinematicModel, posed: tuple[str, ...]) -> _Extensions:
+    """The links reached from ``posed`` through fixed joints only, in model
+    order, with their origins composed back to the posed ancestor."""
+    slot = {link: i for i, link in enumerate(posed)}
+    frames = {}  # extension link -> (slot, rotation, offset) in its ancestor's frame
+    for link in model.links:
+        joint = model._joint_by_child[link]
+        if link in slot or joint.kind != FIXED:
+            continue
+        parent = joint.parent_link
+        if parent in slot:
+            frames[link] = (slot[parent], joint.origin[:3, :3], joint.origin[:3, 3])
+        elif parent in frames:
+            s, rot, offset = frames[parent]
+            frames[link] = (s, rot @ joint.origin[:3, :3], rot @ joint.origin[:3, 3] + offset)
+    return _Extensions(tuple(frames),
+                       _frozen(np.array([s for s, _, _ in frames.values()], dtype=int)),
+                       _frozen(np.array([o for _, _, o in frames.values()]).reshape(-1, 3)))
+
+
+def _recovery_plan(model: KinematicModel) -> _RecoveryPlan:
+    from .registration import _cloud_segments  # registration imports this module
+
+    clouds = model.canonical_clouds
+    labels = tuple(link for link, pts in clouds.items() for _ in range(len(pts)))
+    parents = {link: model.links[p] if p >= 0 else None
+               for link, p in zip(model.links, model._parent.tolist())}
+    try:
+        segments, problem = _cloud_segments(clouds, parents), None
+    except ContractError as exc:
+        segments, problem = None, str(exc)
+    posed = tuple(clouds)
+    ext = _fixed_extensions(model, posed)
+    index = np.array([model._link_index[link] for link in posed + ext.links])
+    order = np.argsort(index, kind="stable")
+    return _RecoveryPlan(labels, segments, problem, ext, _frozen(index[order]), _frozen(order))
 
 
 def _text(el, key: str, what: str) -> str:
@@ -384,7 +474,7 @@ def load_model(urdf_text: str, *, virtual_tip_extension_length: float = 0.02) ->
         link or joint and the attribute.
     StructureError
         Kinematic loops, multiple roots, missing limits on movable joints,
-        unsupported joint types.
+        unsupported joint types, duplicate link or joint names.
     """
     try:
         root = ET.fromstring(urdf_text)
@@ -499,6 +589,11 @@ def load_model(urdf_text: str, *, virtual_tip_extension_length: float = 0.02) ->
 
     all_links = inter_links + ordered_links + tip_links
     all_joints = wrist_joints + urdf_joints + tip_joints
+    names = set()
+    for j in all_joints:  # dof_index is keyed by name
+        if j.name in names:
+            raise StructureError(f"joint name '{j.name}' is used by more than one joint")
+        names.add(j.name)
     return KinematicModel(all_links, all_joints, dof_index, tip_links)
 
 

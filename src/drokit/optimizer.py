@@ -18,9 +18,9 @@ import numpy as np
 from .cloud import PointCloud
 from .dro import recover_cloud
 from .errors import ContractError, DataError, StageError
-from .kinematics import (FIXED, KinematicModel, LinkPoseSet, as_config,
-                         in_limits, _fk_arrays, _jacobians)
-from .registration import register_all
+from .kinematics import (KinematicModel, LinkPoseSet, as_config, in_limits,
+                         _fixed_extensions, _fk_arrays, _jacobians)
+from .registration import _pose_set, _register
 
 _LINESEARCH_SLOPE = 1e-4
 _MIN_ALPHA = 2.0 ** -20
@@ -122,8 +122,6 @@ def solve_joints(model: KinematicModel, targets: dict[str, np.ndarray], q_init,
     (virtual tips).  Every iterate satisfies the joint limits and the
     per-iteration step bound.
     """
-    if params is None:
-        params = SolveParams()
     if not targets:
         raise ContractError("targets are empty")
     q = as_config(model, q_init).copy()
@@ -142,10 +140,17 @@ def solve_joints(model: KinematicModel, targets: dict[str, np.ndarray], q_init,
     if len(idx) != len(targets):
         unknown = sorted(set(targets) - set(model.links))
         raise ContractError(f"targets name unknown links: {unknown}")
-    goal = np.array(goal)
+    return _solve(model, np.array(idx), np.array(goal), q, params)
+
+
+def _solve(model: KinematicModel, idx: np.ndarray, goal: np.ndarray, q: np.ndarray,
+           params: SolveParams | None) -> tuple[np.ndarray, SolveReport]:
+    """solve_joints on links ``idx`` (model order) with targets ``goal``
+    (len(idx), 3), from a checked in-limits ``q`` it may return as is."""
+    if params is None:
+        params = SolveParams()
     if not np.all(np.isfinite(goal)):
         raise DataError("targets contain non-finite values")
-    idx = np.array(idx)
     n_t = len(idx)
 
     def objective(rot, trans):
@@ -213,18 +218,20 @@ def link_targets_from_poses(model: KinematicModel, poses: LinkPoseSet) -> dict[s
     ancestor, which is what lets translation targets pin down fingertip
     orientation.
     """
-    targets = {link: poses.translation(link).copy() for link in poses.links}
-    rots = {link: poses.rotation(link) for link in poses.links}
-    for link in model.links:
-        if link in targets:
-            continue
-        joint = model.parent_joint(link)
-        if joint.kind != FIXED or joint.parent_link not in rots:
-            continue
-        parent_rot = rots[joint.parent_link]
-        rots[link] = parent_rot @ joint.origin[:3, :3]
-        targets[link] = parent_rot @ joint.origin[:3, 3] + targets[joint.parent_link]
+    posed = tuple(poses.links)
+    ext = _fixed_extensions(model, posed)
+    targets = {link: poses.translation(link).copy() for link in posed}
+    if ext.links:
+        rot = np.array([poses.rotation(link) for link in posed])
+        trans = np.array([poses.translation(link) for link in posed])
+        targets.update(zip(ext.links, _extension_targets(ext, rot, trans)))
     return targets
+
+
+def _extension_targets(ext, rot: np.ndarray, trans: np.ndarray) -> np.ndarray:
+    """(E, 3) targets of the extensions, from the posed links' rotations
+    (L,3,3) and translations (L,3) in the order ``ext.slot`` indexes."""
+    return (rot[ext.slot] @ ext.offset[:, :, None])[:, :, 0] + trans[ext.slot]
 
 
 def _stage(elapsed: dict[str, float], name: str, fn, *args):
@@ -243,32 +250,41 @@ def recover_grasp(model: KinematicModel, dro: np.ndarray, object_cloud,
                   q_init, params: SolveParams | None = None) -> GraspResult:
     """Distance matrix -> robot cloud -> link poses -> joint configuration.
 
-    The stages are the public calls recover_cloud (multilateration),
-    register_all (registration), and link_targets_from_poses then
-    solve_joints (optimization).  Each is timed into ``elapsed`` in that
-    order, and a failure carries the stage name.  ``q`` is solve_joints'
-    own, already inside the joint limits.
+    The stages are multilateration (recover_cloud), registration
+    (register_all) and optimization (link_targets_from_poses then
+    solve_joints), each timed into ``elapsed`` in that order; a failure
+    carries the stage name.  They run the kernels of those public calls on
+    the model's recovery plan, so the result is the hand-called chain's bit
+    for bit.  ``q`` is inside the joint limits.
     """
-    canonical = model.canonical_clouds
-    if not canonical:
+    plan = model.recovery_plan
+    if plan is None:
         raise ContractError("model has no canonical clouds attached")
-    q_init = as_config(model, q_init)
-    if not in_limits(model, q_init):
+    q = as_config(model, q_init)
+    if not in_limits(model, q):
         raise ContractError("q_init violates joint limits")
-
-    labels = []
-    for link, pts in canonical.items():
-        labels.extend([link] * len(pts))
     dro = np.asarray(dro, dtype=float)
-    if dro.ndim != 2 or dro.shape[0] != len(labels):
+    if dro.ndim != 2 or dro.shape[0] != len(plan.labels):
         raise ContractError(f"distance matrix shape {dro.shape} does not match the "
-                            f"{len(labels)} canonical cloud points")
+                            f"{len(plan.labels)} canonical cloud points")
 
     elapsed: dict[str, float] = {}
-    recovered = _stage(elapsed, "multilateration", recover_cloud, dro, object_cloud, labels)
-    parents = {link: model.parent_link(link) for link in model.links}
-    poses = _stage(elapsed, "registration", register_all, canonical, recovered, parents)
-    q, report = _stage(elapsed, "optimization", lambda: solve_joints(
-        model, link_targets_from_poses(model, poses), q_init, params))
-    return GraspResult(q=q, link_poses=poses, recovered_cloud=recovered,
-                       report=report, elapsed=elapsed)
+    recovered = _stage(elapsed, "multilateration", recover_cloud, dro, object_cloud,
+                       plan.labels)
+    rot, trans, full_rank = _stage(elapsed, "registration", _register_planned,
+                                   plan, recovered.points)
+    q, report = _stage(elapsed, "optimization", _solve_planned,
+                       model, plan, rot, trans, q.copy(), params)
+    return GraspResult(q=q, link_poses=_pose_set(plan.segments, rot, trans, full_rank),
+                       recovered_cloud=recovered, report=report, elapsed=elapsed)
+
+
+def _register_planned(plan, points: np.ndarray) -> tuple[np.ndarray, ...]:
+    if plan.segments is None:
+        raise ContractError(plan.problem)
+    return _register(plan.segments, points)
+
+
+def _solve_planned(model, plan, rot, trans, q, params):
+    goal = np.concatenate((trans, _extension_targets(plan.extensions, rot, trans)))
+    return _solve(model, plan.target_index, goal[plan.target_order], q, params)

@@ -2,11 +2,18 @@
 
 Each link pose is the least-squares rotation+translation between its canonical
 and recovered points (Umeyama, 1991): centroid alignment, then Procrustes on the
-cross-covariance SVD, reflection corrected.  One batched SVD solves every link,
-``register_link`` is its one-link case, and rank-deficient links are flagged.
+cross-covariance SVD, reflection corrected.  One kernel registers every link of
+a cloud: the recovered points times the cloud's centred canonical points,
+summed per link, give all centroids and cross-covariances, and one batched SVD
+all rotations.  It reads segment tables that ``_cloud_segments`` builds from
+the canonical points alone: a model with clouds keeps them in its recovery
+plan, ``register_all`` builds them from its arguments per call, and
+``register_link`` is the one-link case.  Rank-deficient links are flagged.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,11 +35,11 @@ def register_link(canonical_points: np.ndarray, predicted_points: np.ndarray,
     """
     tag = f" for link '{name}'" if name else ""
     a, b = _checked(canonical_points, predicted_points, tag)
-    rot, ca, cb, full_rank = _procrustes(a, b, np.array([len(a)]))
+    rot, trans, full_rank = _register(_cloud_segments({name: a}, None), b)
     if not full_rank[0]:
         raise DegeneracyError(f"registration{tag}: points are collinear or coincident "
                               "(rank-deficient cross-covariance)")
-    return rot[0], cb[0] - rot[0] @ ca[0]
+    return rot[0], trans[0]
 
 
 def register_all(canonical: dict[str, np.ndarray], recovered: PointCloud,
@@ -50,18 +57,14 @@ def register_all(canonical: dict[str, np.ndarray], recovered: PointCloud,
         raise ContractError(f"recovered labels do not match canonical links: {missing}")
     if not canonical:
         return LinkPoseSet({}, {})
-    pairs = [_checked(pts, recovered_by_link[link], f" for link '{link}'")
-             for link, pts in canonical.items()]
-    a, b = map(np.vstack, zip(*pairs))
-    rot, ca, cb, full_rank = _procrustes(a, b, np.array([len(p) for p, _ in pairs]))
-    rotations: dict[str, np.ndarray] = {}
-    for i, link in enumerate(canonical):
-        if not full_rank[i]:
-            rot[i] = _ancestor_rotation(link, parents, rotations)
-        rotations[link] = rot[i]
-    translations = dict(zip(canonical, cb - np.einsum("lij,lj->li", rot, ca)))
-    fallback = frozenset(link for link, ok in zip(canonical, full_rank) if not ok)
-    return LinkPoseSet(rotations, translations, fallback)
+    segments = _cloud_segments(canonical, parents)
+    for link in segments.links:
+        a, b = np.shape(canonical[link]), recovered_by_link[link].shape
+        if a != b:
+            raise ContractError(f"registration for link '{link}': point arrays must "
+                                f"share shape (M, 3), got {a} and {b}")
+    points = np.concatenate([recovered_by_link[link] for link in segments.links])
+    return _pose_set(segments, *_register(segments, points))
 
 
 def _checked(canonical_points, predicted_points, tag: str) -> tuple[np.ndarray, np.ndarray]:
@@ -75,25 +78,95 @@ def _checked(canonical_points, predicted_points, tag: str) -> tuple[np.ndarray, 
     return a, b
 
 
-def _procrustes(a: np.ndarray, b: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Rotations, centroids and full-rank flags of stacked segments (>= 1 point each)."""
+@dataclass(frozen=True)
+class _CloudSegments:
+    """Registration tables of a canonical cloud stacked link by link.
+
+    Link l owns rows ``starts[l]`` to ``starts[l] + counts[l]``.
+    ``centroid`` is (L, 3), the links' canonical centroids ca, and
+    ``centred`` is (3, N), every canonical point minus its link's centroid,
+    transposed.  ``anchor[l]`` is the slot of the link whose rotation link l
+    takes when its points are rank-deficient, -1 for the identity.  The
+    arrays are read-only.
+    """
+
+    links: tuple[str, ...]
+    starts: np.ndarray
+    counts: np.ndarray
+    centroid: np.ndarray
+    centred: np.ndarray
+    anchor: tuple[int, ...]
+
+
+def _cloud_segments(canonical: dict, parents: dict | None) -> _CloudSegments:
+    """Tables of ``canonical``'s links in dict order.
+
+    A link with rank-deficient points inherits the rotation of its nearest
+    ancestor in ``parents`` (link -> parent link, None at the root) that
+    comes before it in that order, or the identity.
+    """
+    links = tuple(canonical)
+    blocks = []
+    for link in links:
+        a = np.asarray(canonical[link], dtype=float)
+        if a.ndim != 2 or a.shape[1] != 3:
+            raise ContractError(f"registration for link '{link}': canonical points must "
+                                f"have shape (M, 3), got {a.shape}")
+        if len(a) < 3:
+            raise ContractError(f"registration for link '{link}': need at least 3 points, "
+                                f"got {len(a)}")
+        blocks.append(a)
+    counts = np.array([len(a) for a in blocks])
     starts = np.cumsum(counts) - counts
-    ca = np.add.reduceat(a, starts) / counts[:, None]
-    cb = np.add.reduceat(b, starts) / counts[:, None]
-    seg = np.repeat(np.arange(len(counts)), counts)
-    h = np.add.reduceat((a - ca[seg])[:, :, None] * (b - cb[seg])[:, None, :], starts)
-    u, s, vt = np.linalg.svd(h)
+    points = np.concatenate(blocks)
+    centroid = np.add.reduceat(points, starts) / counts[:, None]
+    centred = (points - np.repeat(centroid, counts, axis=0)).T.copy()
+    for table in (starts, counts, centroid, centred):
+        table.flags.writeable = False
+
+    slot = {link: i for i, link in enumerate(links)}
+    anchor = []
+    for i, link in enumerate(links):
+        cur = parents.get(link) if parents is not None else None
+        steps = len(parents or ())  # a cyclic map ends the walk at the identity
+        while cur is not None and slot.get(cur, i) >= i and steps:
+            cur, steps = parents.get(cur), steps - 1
+        anchor.append(slot[cur] if cur is not None and slot.get(cur, i) < i else -1)
+    return _CloudSegments(links, starts, counts, centroid, centred, tuple(anchor))
+
+
+def _register(segments: _CloudSegments, points: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rotations (L,3,3), translations (L,3) and full-rank flags of the
+    links whose points are stacked in ``segments.links`` order.
+
+    A rank-deficient link takes its anchor's rotation, or the identity."""
+    # per link, the sum of the points (measured from the first one, so the
+    # products stay as small as the cloud wherever it lies) gives the
+    # centroid, and the sums of their products with the centred canonical
+    # coordinates give the cross-covariance sum (a - ca) p^T, since centred
+    # points sum to zero
+    origin = points[0]
+    stacked = np.empty((4, 3, len(points)))
+    np.subtract(points.T, origin[:, None], out=stacked[0])
+    np.multiply(segments.centred[:, None, :], stacked[0], out=stacked[1:])
+    sums = np.add.reduceat(stacked.reshape(12, -1), segments.starts, axis=1).T.reshape(-1, 4, 3)
+    u, s, vt = np.linalg.svd(sums[:, 1:])
     # R = V U^T is a reflection where det(U V^T) < 0; negating V's last column fixes it
     vt[np.linalg.det(u @ vt) < 0.0, -1] *= -1.0
     full_rank = (s[:, 0] > 0.0) & (s[:, 1] > _RANK_RTOL * s[:, 0])
-    return np.swapaxes(vt, 1, 2) @ np.swapaxes(u, 1, 2), ca, cb, full_rank
+    rot = np.swapaxes(vt, 1, 2) @ np.swapaxes(u, 1, 2)
+    for i in np.flatnonzero(~full_rank):  # anchors come first, so chains resolve in order
+        anchor = segments.anchor[i]
+        rot[i] = rot[anchor] if anchor >= 0 else np.eye(3)
+    cb = sums[:, 0] / segments.counts[:, None] + origin
+    trans = cb - (rot @ segments.centroid[:, :, None])[:, :, 0]
+    return rot, trans, full_rank
 
 
-def _ancestor_rotation(link: str, parents, rotations: dict[str, np.ndarray]) -> np.ndarray:
-    cur = parents.get(link) if parents is not None else None
-    while cur is not None and cur not in rotations:
-        cur = parents.get(cur)
-    return np.eye(3) if cur is None else rotations[cur]
+def _pose_set(segments: _CloudSegments, rot, trans, full_rank) -> LinkPoseSet:
+    links = segments.links
+    return LinkPoseSet(dict(zip(links, rot)), dict(zip(links, trans)),
+                       frozenset(links[i] for i in np.flatnonzero(~full_rank)))
 
 
 def registration_residual(canonical_points, predicted_points, rot, x) -> float:

@@ -96,6 +96,18 @@ def test_sample_bad_urdf_exit_validation(assets, capsys):
         assert names in capsys.readouterr().err
 
 
+
+def test_sample_duplicate_joint_name_exit_validation(assets, capsys):
+    bad = assets["root"] / "dup.urdf"
+    text = assets["urdf"].read_text()
+    first = re.search(r'<joint name="([^"]+)"', text).group(1)
+    bad.write_text(re.sub(r'<joint name="[^"]+"', f'<joint name="{first}"', text, count=2))
+    code = run(["--output", assets["root"] / "o", "sample", "--model", bad,
+                "--mesh-dir", assets["mesh_dir"]])
+    assert code == 2
+    assert f"joint name '{first}'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- compute-dro
 
 def test_compute_dro_matches_naive_recompute(assets):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -140,6 +141,26 @@ def test_missing_limit_rejected():
         load_model(urdf)
 
 
+
+_TWO_JOINTS_NAMED_J = """<robot name="x">
+  <link name="a"/><link name="b"/><link name="c"/>
+  <joint name="j" type="revolute">
+    <parent link="a"/><child link="b"/><axis xyz="0 0 1"/><limit lower="-1" upper="1"/>
+  </joint>
+  <joint name="j" type="revolute">
+    <parent link="b"/><child link="c"/><axis xyz="0 0 1"/><limit lower="-1" upper="1"/>
+  </joint>
+</robot>"""
+
+
+def test_duplicate_joint_name_rejected_naming_it():
+    with pytest.raises(StructureError, match="joint name 'j'"):
+        load_model(_TWO_JOINTS_NAMED_J)
+    clash = _TWO_JOINTS_NAMED_J.replace('name="j"', 'name="virtual_wrist_x"', 1)
+    with pytest.raises(StructureError, match="joint name 'virtual_wrist_x'"):
+        load_model(clash)
+
+
 _ONE_JOINT = """<robot name="x">
   <link name="a"/><link name="b"/>
   <joint name="j" type="revolute">
@@ -216,6 +237,67 @@ def test_tables_built_once_across_load_and_with_clouds(monkeypatch):
     model = load_model(hands.planar_two_link_arm())
     model.with_clouds({model.links[-1]: np.zeros((2, 3))})
     assert len(built) == 1
+
+
+
+def _plan_leaves(obj):
+    """The plan's arrays, tuples and scalars, depth first."""
+    if dataclasses.is_dataclass(obj):
+        return [leaf for f in dataclasses.fields(obj) for leaf in _plan_leaves(getattr(obj, f.name))]
+    return [obj]
+
+
+def test_model_without_clouds_has_no_plan():
+    model = load_model(hands.planar_two_link_arm())
+    assert model.recovery_plan is None
+    assert model.with_clouds({}).recovery_plan is None
+    attached = model.with_clouds({model.links[-2]: np.eye(3)})
+    assert attached.recovery_plan is not None and model.recovery_plan is None
+
+
+def test_recovery_plan_is_read_only(three_finger):
+    model, _, _ = three_finger
+    leaves = _plan_leaves(model.recovery_plan)
+    arrays = [leaf for leaf in leaves if isinstance(leaf, np.ndarray)]
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    assert not any(isinstance(leaf, (list, dict)) for leaf in leaves)
+    with pytest.raises(ValueError):
+        model.recovery_plan.segments.centred[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.recovery_plan.labels = ()
+
+
+def test_attached_clouds_are_read_only_copies():
+    model = load_model(hands.planar_two_link_arm())
+    link = model.links[-2]
+    cloud = np.eye(3)
+    attached = model.with_clouds({link: cloud})
+    cloud[0, 0] = 5.0  # the caller's array stays the caller's
+    assert attached.canonical_clouds[link][0, 0] == 1.0
+    with pytest.raises(ValueError):
+        attached.canonical_clouds[link][0, 0] = 2.0
+
+
+def test_plan_does_not_depend_on_cloud_dict_order(three_finger):
+    model, _, _ = three_finger
+    reordered = model.with_clouds(dict(reversed(list(model.canonical_clouds.items()))))
+    ours, theirs = _plan_leaves(model.recovery_plan), _plan_leaves(reordered.recovery_plan)
+    assert len(ours) == len(theirs)
+    for a, b in zip(ours, theirs):
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        else:
+            assert a == b
+
+
+def test_plan_defers_an_unregistrable_cloud():
+    # a two-point cloud cannot be registered; attaching it still works, and
+    # the plan keeps the reason for the registration stage
+    model = load_model(hands.planar_two_link_arm())
+    plan = model.with_clouds({model.links[-2]: np.zeros((2, 3))}).recovery_plan
+    assert plan.segments is None
+    assert "need at least 3 points" in plan.problem
+    assert len(plan.labels) == 2
 
 
 # ---------------------------------------------------------------- forward kinematics

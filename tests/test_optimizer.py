@@ -3,15 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from drokit import (ContractError, DataError, SolveParams, StageError,
-                    cloud_fk, compute_dro, forward_kinematics, in_limits,
-                    link_targets_from_poses, load_model, recover_cloud,
-                    recover_grasp, register_all, solve_joints)
+from drokit import (ContractError, DataError, KinematicModel, PointCloud,
+                    SamplingConfig, SolveParams, StageError, cloud_fk, compute_dro,
+                    forward_kinematics, in_limits, link_targets_from_poses, load_model,
+                    recover_cloud, recover_grasp, register_all, sample_object_cloud,
+                    solve_joints)
 from drokit.errors import DegeneracyError
 from drokit.optimizer import _bounded_damped_step
 from drokit.rng import substream
 
 import hands
+from geometry import icosphere
 
 
 ONE_DOF_URDF = """<robot name="one">
@@ -310,6 +312,105 @@ def test_recover_grasp_is_its_public_stages(hand, request):
                 assert in_limits(model, result.q)
                 assert list(result.elapsed) == ["multilateration", "registration",
                                                  "optimization"]
+
+
+
+def _public_chain(model, matrix, object_cloud, q_init):
+    """recover_grasp's stages called by hand: (q, report, link poses)."""
+    canonical = model.canonical_clouds
+    labels = [link for link, pts in canonical.items() for _ in range(len(pts))]
+    parents = {link: model.parent_link(link) for link in model.links}
+    poses = register_all(canonical, recover_cloud(matrix, object_cloud, labels), parents)
+    q, report = solve_joints(model, link_targets_from_poses(model, poses), q_init)
+    return q, report, poses
+
+
+def _assert_same_poses(a, b):
+    assert a.links == b.links and a.fallback_links == b.fallback_links
+    for link in a.links:
+        assert a.rotation(link).tobytes() == b.rotation(link).tobytes()
+        assert a.translation(link).tobytes() == b.translation(link).tobytes()
+
+
+_FLANGE = """  <link name="flange"/>
+  <joint name="flange_joint" type="fixed">
+    <parent link="{leaf}"/><child link="flange"/>
+    <origin xyz="0.03 0.01 -0.02" rpy="0.4 -0.7 1.1"/>
+  </joint>
+</robot>"""
+
+
+def test_recover_grasp_is_its_public_stages_on_random_chains():
+    # chains reach prismatic and fixed joints; links behind a fixed joint are
+    # left without a cloud at random, and a fixed flange without a cloud ends
+    # every chain, so targets also come from fixed chains two joints long
+    kinds = set()
+    for seed in range(8):
+        rng = substream(51, f"chain:{seed}")
+        urdf = hands.random_chain_urdf(rng)
+        chain = load_model(urdf)
+        leaf = chain.parent_link(chain.tip_links[0])
+        bare = load_model(urdf.replace("</robot>", _FLANGE.format(leaf=leaf)))
+        urdf_links = [l for l in bare.links[5:] if l not in bare.tip_links]
+        kinds |= {bare.parent_joint(l).kind for l in urdf_links[1:-1]}
+        clouds = {l: rng.normal(0.0, 0.03, size=(6, 3)) for l in urdf_links[:-1]
+                  if l == urdf_links[0] or bare.parent_joint(l).kind != "fixed"
+                  or rng.random() < 0.5}
+        model = bare.with_clouds(clouds)
+        assert set(model.recovery_plan.extensions.links) >= {"flange", "flange_tip_ext"}
+        cfg = SamplingConfig(n_object=32, seed=seed)
+        object_cloud = sample_object_cloud(icosphere(radius=0.04), cfg)
+        q_true = rng.uniform(model.lower, model.upper)
+        q_true[:3] = rng.uniform(-0.1, 0.1, 3)
+        matrix = compute_dro(cloud_fk(model, q_true, model.canonical_clouds), object_cloud)
+        q_init = 0.5 * (model.lower + model.upper)
+        q_init[:6] = q_true[:6]
+        result = recover_grasp(model, matrix, object_cloud, q_init)
+        q, report, poses = _public_chain(model, matrix, object_cloud, q_init)
+        assert result.q.tobytes() == q.tobytes()
+        assert result.report == report
+        _assert_same_poses(result.link_poses, poses)
+        targets = link_targets_from_poses(model, poses)
+        fk = forward_kinematics(model, q_true)
+        assert max(np.abs(targets[l] - fk.translation(l)).max() for l in targets) < 1e-6
+    assert {"prismatic", "fixed"} <= kinds
+
+
+def test_fallback_poses_are_register_alls(three_finger):
+    model, _, object_cloud = three_finger
+    canonical = dict(model.canonical_clouds)
+    m = len(canonical["f1_seg2"])
+    canonical["f1_seg2"] = np.outer(np.linspace(0.0, 0.03, m), [1.0, 0.0, 0.0])
+    model = model.with_clouds(canonical)
+    q_true = _random_grasp(model, substream(12, "trial:0"))
+    matrix = compute_dro(cloud_fk(model, q_true, canonical), object_cloud)
+    q_init = 0.5 * (model.lower + model.upper)
+    q_init[:6] = q_true[:6]
+    result = recover_grasp(model, matrix, object_cloud, q_init)
+    q, report, poses = _public_chain(model, matrix, object_cloud, q_init)
+    assert result.link_poses.fallback_links == {"f1_seg2"}
+    _assert_same_poses(result.link_poses, poses)
+    assert result.q.tobytes() == q.tobytes()
+
+
+@pytest.mark.parametrize("hand", ["three_finger", "five_finger"])
+def test_recover_grasp_does_no_per_model_work(hand, request, monkeypatch):
+    model, _, object_cloud = request.getfixturevalue(hand)
+    q_true = _random_grasp(model, substream(41, hand))
+    matrix = compute_dro(cloud_fk(model, q_true, model.canonical_clouds), object_cloud)
+    q_init = 0.5 * (model.lower + model.upper)
+    q_init[:6] = q_true[:6]
+    calls = []
+    for cls, name in ((KinematicModel, "parent_link"), (KinematicModel, "parent_joint"),
+                      (PointCloud, "segments")):
+        def counted(*args, _fn=getattr(cls, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(cls, name, counted)
+    recover_grasp(model, matrix, object_cloud, q_init)
+    assert calls == []
+    _public_chain(model, matrix, object_cloud, q_init)  # the counters do count
+    assert {"parent_link", "segments"} <= set(calls)
 
 
 def test_small_object_cloud_fails_in_multilateration_stage(three_finger):

@@ -176,6 +176,25 @@ def test_register_all_matches_oracle_with_planar_links(sigma):
     assert flips > 0
 
 
+
+@pytest.mark.parametrize("builder", [hands.three_finger_hand, hands.five_finger_hand])
+def test_register_all_matches_per_link_oracle_far_from_origin(builder):
+    """Registration sums products of centred canonical points with recovered
+    points that are not centred per link; with the hand 5 m from the origin
+    it must still match the centred per-link SVD."""
+    model, canonical = _hand_setup(builder=builder)
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        q = _random_q(model, rng)
+        q[:3] = 5.0 * q[:3] / np.linalg.norm(q[:3])
+        recovered = cloud_fk(model, q, canonical)
+        assert np.linalg.norm(recovered.points, axis=1).min() > 4.5
+        noisy = PointCloud(recovered.points + rng.normal(0.0, 1e-3, recovered.points.shape),
+                           recovered.labels)
+        _assert_matches_oracle(canonical, recovered)
+        _assert_matches_oracle(canonical, noisy)
+
+
 def test_register_all_recovers_fk_poses():
     model, canonical = _hand_setup()
     rng = np.random.default_rng(6)
