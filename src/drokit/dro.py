@@ -10,9 +10,10 @@ residuals.  The polish runs until its largest step over all rows is below
 so a row that has already converged may still move by less than the
 tolerance while the others finish.
 
-All rows share the references: one SVD checks them for degeneracy, and the
-squared-range residual is linear in (p, ||p||^2, 1), so the closed form and
-every polish step come from a few moments of d^2.  The matrix is read once,
+All rows share the references, judged for degeneracy on the centred system
+the solver solves, so the verdict does not depend on where the object sits.
+The squared-range residual is linear in (p, ||p||^2, 1), so the closed form
+and every polish step come from a few moments of d^2.  The matrix is read once,
 in ``_ROW_CHUNK``-row blocks, each checked with one ``min``, and each step
 after that costs O(rows).  Everything that depends on the object alone (its
 centroid frame, the reference check, M, M^-1 and t) is computed once per
@@ -84,23 +85,6 @@ def compute_dro(robot_cloud, object_cloud) -> np.ndarray:
     return out
 
 
-def _reference_system(obj: np.ndarray):
-    """Reject references that cannot fix a point: fewer than four, or a
-    linearized system [-2 p_j, 1] whose singular values say it is coplanar
-    or worse.  Passing this check makes M = sum_j o_j o_j^T positive definite.
-    """
-    n = len(obj)
-    if n < 4:
-        raise DegeneracyError(f"need at least 4 reference points, got {n}")
-    a = np.empty((n, 4))
-    a[:, :3] = -2.0 * obj
-    a[:, 3] = 1.0
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv[-1] <= 0.0 or sv[0] / sv[-1] > CONDITION_LIMIT:
-        raise DegeneracyError("reference points are degenerate (coplanar or worse); "
-                              f"condition number exceeds {CONDITION_LIMIT:.0e}")
-
-
 @dataclass(frozen=True)
 class _ObjectFrame:
     """Everything the solver needs from the references alone.
@@ -135,11 +119,17 @@ def _object_frame(obj: np.ndarray) -> _ObjectFrame:
     basis = np.ones((n, 4))
     o = basis[:, :3]
     np.subtract(obj, centroid, out=o)
-    try:
-        _reference_system(obj)
-        degenerate = None
-    except DegeneracyError as exc:
-        degenerate = str(exc)
+    # judged on [o | 1] itself, the basis the moment pass multiplies by: its
+    # SVD sees a plane whose offset from the centroid is rounding-sized, which
+    # eigenvalues of M (accurate to eps ||M||) or the SVD of o alone miss
+    degenerate = None
+    if n < 4:
+        degenerate = f"need at least 4 reference points, got {n}"
+    elif np.isfinite(o).all():  # non-finite references end in the divergence check
+        sv = np.linalg.svd(basis, compute_uv=False)
+        if sv[-1] <= 0.0 or sv[0] / sv[-1] > CONDITION_LIMIT:
+            degenerate = ("reference points are degenerate (coplanar or worse); "
+                          f"condition number exceeds {CONDITION_LIMIT:.0e}")
     o_sq = (o * o).sum(axis=1)
     moment = o.T @ o
     frame = _ObjectFrame(centroid, basis, degenerate, moment,

@@ -50,11 +50,20 @@ class SolveParams:
 
 @dataclass
 class SolveReport:
-    """Outcome of one joint solve; residuals are mean link-origin errors."""
+    """Outcome of one joint solve; residuals are mean link-origin errors.
+
+    ``reason`` names the test that stopped the solve: ``"residual"`` (mean
+    error below ``tol_residual``), ``"step"`` (step below ``tol_step``),
+    ``"line_search"`` (no step length passed the Armijo test) or
+    ``"max_iters"``.  ``converged`` is True for the first two, so it means
+    "stopped on a tolerance", not "fits": a step stop can sit in a wrong
+    minimum with a large residual.
+    """
 
     iterations: int
     final_residual: float
     converged: bool
+    reason: str
     residual_trace: list[float] = field(default_factory=list)
 
 
@@ -74,6 +83,8 @@ class GraspResult:
             "residual": self.report.final_residual,
             "iterations": self.report.iterations,
             "converged": self.report.converged,
+            "reason": self.report.reason,
+            "residual_trace": [float(v) for v in self.report.residual_trace],
             "fallback_links": sorted(self.link_poses.fallback_links),
             "elapsed": dict(self.elapsed),
         }
@@ -158,7 +169,7 @@ def _solve(model: KinematicModel, idx: np.ndarray, goal: np.ndarray, q: np.ndarr
         return err, np.sqrt((err * err).sum(axis=1))
 
     trace: list[float] = []
-    converged = False
+    reason = "max_iters"
     iterations = 0
     rot, trans = _fk_arrays(model, q)
     err, norms = objective(rot, trans)
@@ -168,7 +179,7 @@ def _solve(model: KinematicModel, idx: np.ndarray, goal: np.ndarray, q: np.ndarr
         total = norms.sum()
         trace.append(total / n_t)
         if total / n_t < params.tol_residual:
-            converged = True
+            reason = "residual"
             break
 
         jac = _jacobians(model, rot, trans, idx).reshape(3 * n_t, model.n_dof)
@@ -182,7 +193,7 @@ def _solve(model: KinematicModel, idx: np.ndarray, goal: np.ndarray, q: np.ndarr
         delta = _bounded_damped_step(jac * scale[:, None], resid * scale,
                                      lb, ub, params.damping)
         if np.abs(delta).max() < params.tol_step:
-            converged = True
+            reason = "step"
             break
 
         # linearized decrease for the Armijo test on the true objective
@@ -201,12 +212,14 @@ def _solve(model: KinematicModel, idx: np.ndarray, goal: np.ndarray, q: np.ndarr
                 break
             alpha *= 0.5
         if not accepted:
+            reason = "line_search"
             break
         q, rot, trans, err, norms = q_try, rot_try, trans_try, err_try, norms_try
 
     final_residual = norms.sum() / n_t
     report = SolveReport(iterations=iterations, final_residual=float(final_residual),
-                         converged=converged, residual_trace=trace)
+                         converged=reason in ("residual", "step"), reason=reason,
+                         residual_trace=trace)
     return q, report
 
 

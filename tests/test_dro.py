@@ -234,6 +234,15 @@ def test_too_few_references_rejected():
         multilaterate_point(np.ones(3), refs)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_references_end_in_the_divergence_check(value):
+    rng = np.random.default_rng(29)
+    refs = random_references(rng, 32)
+    refs[4, 1] = value
+    with pytest.raises(DegeneracyError, match="diverged"):
+        recover_cloud(np.ones((2, 32)), refs)
+
+
 def test_distance_vector_shape_checked():
     rng = np.random.default_rng(6)
     refs = random_references(rng, 16)
@@ -358,6 +367,36 @@ def test_far_object_recovery_keeps_precision():
     noisy = np.abs(exact + rng.normal(0.0, 1e-3, size=exact.shape))
     rec = recover_cloud(noisy, obj)
     assert np.abs(rec.points - direct_gauss_newton(noisy, obj)).max() < 1e-9
+
+
+@pytest.mark.parametrize("offset", [1e3, 1e5, 1e6])
+def test_references_are_judged_wherever_the_object_sits(offset):
+    # the references are judged on the centred system the solver solves, so a
+    # small object far from the origin is accepted and its points recovered,
+    # and a coplanar one is still rejected there
+    rng = np.random.default_rng(27)
+    shift = offset * random_rotation(rng)[0]
+    obj = random_references(rng, 512, scale=0.04)
+    robot = rng.normal(scale=0.1, size=(64, 3))
+    exact = compute_dro(robot + shift, obj + shift)
+    err = np.abs(recover_cloud(exact, obj + shift).points - (robot + shift)).max()
+    assert err < max(1e-12, 1e-13 * offset)
+    obj[:, 2] = 0.0
+    with pytest.raises(DegeneracyError, match="degenerate"):
+        recover_cloud(exact, obj + shift)
+
+
+def test_tilted_coplanar_references_rejected():
+    # a plane in no coordinate plane leaves rounding-sized spread off it;
+    # the verdict must still see the zero singular value, which the
+    # eigenvalues of M = o^T o, accurate only to eps * ||M||, would not
+    rng = np.random.default_rng(28)
+    for _ in range(20):
+        refs = random_references(rng, 512, scale=0.04)
+        refs[:, 2] = 0.0
+        refs = refs @ random_rotation(rng).T + rng.normal(scale=0.3, size=3)
+        with pytest.raises(DegeneracyError, match="degenerate"):
+            recover_cloud(np.ones((2, 512)), refs)
 
 
 def test_recover_cloud_refines_until_converged():
@@ -520,14 +559,15 @@ def test_object_frame_memo_does_not_depend_on_call_order():
 
 
 def test_reference_check_runs_once_per_object(monkeypatch):
+    # the verdict is part of the object's frame, built once per distinct object
     calls = []
-    check = dro_module._reference_system
+    frame = dro_module._ObjectFrame
 
-    def counting(obj):
-        calls.append(len(obj))
-        return check(obj)
+    def counting(*fields):
+        calls.append(fields)
+        return frame(*fields)
 
-    monkeypatch.setattr(dro_module, "_reference_system", counting)
+    monkeypatch.setattr(dro_module, "_ObjectFrame", counting)
     rng = np.random.default_rng(23)
     obj = random_references(rng, 64)
     mat = compute_dro(rng.normal(scale=0.2, size=(8, 3)), obj)

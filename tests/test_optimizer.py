@@ -8,6 +8,8 @@ from drokit import (ContractError, DataError, KinematicModel, PointCloud,
                     forward_kinematics, in_limits, link_targets_from_poses, load_model,
                     recover_cloud, recover_grasp, register_all, sample_object_cloud,
                     solve_joints)
+import drokit.optimizer as optimizer_module
+from drokit.cloud import partial_cloud
 from drokit.errors import DegeneracyError
 from drokit.optimizer import _bounded_damped_step
 from drokit.rng import substream
@@ -124,6 +126,41 @@ def test_trace_monotone_and_within_limits():
     assert (np.diff(trace) <= 1e-9).all()
     assert in_limits(model, q)
     assert report.final_residual < 1e-3
+
+
+def test_termination_reason_names_the_stopping_test(monkeypatch):
+    urdf, _ = hands.three_finger_hand()
+    model = load_model(urdf)
+    mid = 0.5 * (model.lower + model.upper)
+    _, report = solve_joints(model, link_targets_at(model, mid), mid)
+    assert (report.reason, report.converged) == ("residual", True)
+
+    # the infeasible-limit setup stops on the step test with its residual high
+    one = load_model(ONE_DOF_URDF)
+    poses = forward_kinematics(one, np.zeros(one.n_dof))
+    targets = {link: poses.translation(link) for link in one.links}
+    hinge = targets["arm"]
+    c, s = np.cos(1.4), np.sin(1.4)
+    for link in ("arm", "arm_tip_ext"):
+        targets[link] = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]]) @ (
+            targets[link] - hinge) + hinge
+    _, report = solve_joints(one, targets, np.zeros(one.n_dof))
+    assert (report.reason, report.converged) == ("step", True)
+    assert report.final_residual > 1e-4
+
+    rng = np.random.default_rng(2)
+    q_true = rng.uniform(model.lower, model.upper)
+    q_true[:6] = mid[:6]
+    far = link_targets_at(model, q_true)
+    _, report = solve_joints(model, far, mid, SolveParams(max_iters=1))
+    assert (report.reason, report.converged, report.iterations) == ("max_iters", False, 1)
+
+    # an uphill step passes no Armijo test at any length
+    step = optimizer_module._bounded_damped_step
+    monkeypatch.setattr(optimizer_module, "_bounded_damped_step",
+                        lambda *args: -step(*args))
+    _, report = solve_joints(model, far, mid)
+    assert (report.reason, report.converged, report.iterations) == ("line_search", False, 1)
 
 
 def test_params_validation():
@@ -250,6 +287,25 @@ def test_recover_grasp_robust_to_distance_noise(three_finger):
         errors.extend(np.linalg.norm(fk_true.translation(l) - fk_rec.translation(l))
                       for l in links)
     assert np.mean(errors) < 5e-3
+
+
+@pytest.mark.parametrize("hand", ["three_finger", "five_finger"])
+def test_recover_grasp_from_partial_view(hand, request):
+    # a camera sees about half the object: exact matrices against the
+    # partial_cloud half still place every link origin within 1 mm
+    model, _, object_cloud = request.getfixturevalue(hand)
+    canonical = model.canonical_clouds
+    for trial in range(10):
+        q_true = _random_grasp(model, substream(61, f"{hand}:{trial}"))
+        view = partial_cloud(object_cloud.points, trial)
+        matrix = compute_dro(cloud_fk(model, q_true, canonical), view)
+        q_init = 0.5 * (model.lower + model.upper)
+        q_init[:6] = q_true[:6]
+        result = recover_grasp(model, matrix, view, q_init)
+        fk_true = forward_kinematics(model, q_true)
+        fk_rec = forward_kinematics(model, result.q)
+        assert max(np.linalg.norm(fk_true.translation(l) - fk_rec.translation(l))
+                   for l in model.links) < 1e-3
 
 
 def test_recover_grasp_ignores_cloud_dict_order(three_finger):
@@ -434,9 +490,22 @@ def test_result_json_schema(three_finger):
     result = recover_grasp(model, matrix, object_cloud, q_init)
     doc = result.to_json_dict()
     assert set(doc) == {"q", "residual", "iterations", "converged", "fallback_links",
-                        "elapsed"}
+                        "elapsed", "reason", "residual_trace"}
     assert set(doc["elapsed"]) == {"multilateration", "registration", "optimization"}
     assert len(doc["q"]) == model.n_dof
+
+
+def test_result_json_reports_reason_and_trace(three_finger):
+    model, _, object_cloud = three_finger
+    q_true = _random_grasp(model, substream(11, "trial:0"))
+    matrix = compute_dro(cloud_fk(model, q_true, model.canonical_clouds), object_cloud)
+    q_init = 0.5 * (model.lower + model.upper)
+    q_init[:6] = q_true[:6]
+    result = recover_grasp(model, matrix, object_cloud, q_init)
+    doc = json.loads(json.dumps(result.to_json_dict()))
+    assert doc["reason"] == result.report.reason
+    assert doc["residual_trace"] == result.report.residual_trace
+    assert len(doc["residual_trace"]) == doc["iterations"]
 
 
 def test_result_json_lists_fallback_links(three_finger):
