@@ -164,6 +164,11 @@ def _solve_params(args) -> SolveParams:
     return SolveParams(**_given(args, _SOLVE_FIELDS))
 
 
+def _require_count(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise ContractError(f"{flag} must be at least {least}, got {value}")
+
+
 def _geometric_links(model: KinematicModel, canonical) -> list[str]:
     return [l for l in model.links if l in canonical or l in model.tip_links]
 
@@ -312,6 +317,7 @@ def _run_trial(model: KinematicModel, object_cloud: PointCloud, seed: int,
 
 
 def cmd_roundtrip(args) -> int:
+    _require_count("--trials", args.trials, 0)
     out = {"trials": args.trials}
     if args.trials > 0:
         model, object_cloud = _prepare_embodiment(args)
@@ -343,6 +349,8 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _require_count("--runs", args.runs, 1)
+    _require_count("--warmup", args.warmup, 0)
     model, object_cloud = _prepare_embodiment(args)
     params = _solve_params(args)
     _, matrix, q_init = _trial(model, object_cloud, args.seed, "trial:bench")
@@ -572,8 +580,7 @@ def main(argv=None) -> int:
                                     f"got {env_threads!r}") from None
         elif args.threads is None:
             args.threads = 1
-        if args.threads < 1:
-            raise ContractError("--threads must be at least 1")
+        _require_count("--threads", args.threads, 1)
         if getattr(args, "kind", None) is not None:
             expected = _EXPECTED_FILES[args.kind]
             if len(args.files) != expected:

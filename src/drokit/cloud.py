@@ -111,6 +111,8 @@ class SamplingConfig:
         for name in ("n_per_link", "n_total", "n_object", "object_pool"):
             if getattr(self, name) <= 0:
                 raise ContractError(f"{name} must be positive")
+        if not 0.0 <= self.object_noise_sigma < math.inf:  # NaN fails too
+            raise ContractError("object_noise_sigma must be nonnegative and finite")
 
 
 def load_obj(text: str) -> TriangleMesh:

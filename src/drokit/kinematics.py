@@ -158,7 +158,7 @@ class KinematicModel:
     use ``links``, ``tip_links``, ``dof_index``, ``lower``, ``upper``,
     ``canonical_clouds``, ``recovery_plan``, :meth:`parent_link`,
     :meth:`parent_joint`, and the module functions ``_fk_arrays``,
-    ``_jacobians`` and ``_fixed_extensions``.
+    ``_jacobians`` and ``_solve_targets``.
     ``_fk_arrays`` composes every link's pose as 4x4 transforms and returns
     the rotations and translations as views of one (L, 4, 4) array made by
     that call, which callers must not write to.
@@ -315,14 +315,20 @@ class KinematicModel:
 
 
 @dataclass(frozen=True)
-class _Extensions:
-    """Fixed-joint children of posed links: each is its posed ancestor
-    (``slot`` into the posed links) moved by ``offset`` in that ancestor's
-    frame."""
+class _Targets:
+    """The links the joint solve fits, in model order (``index`` into
+    ``links`` of the model): each is posed link ``slot`` moved by ``offset``
+    in that link's frame, zero for a posed link itself."""
 
     links: tuple[str, ...]
+    index: np.ndarray
     slot: np.ndarray
     offset: np.ndarray
+
+    def goal(self, rot: np.ndarray, trans: np.ndarray) -> np.ndarray:
+        """(T, 3) goals from the posed links' rotations (P,3,3) and
+        translations (P,3) in the order ``slot`` indexes."""
+        return (rot[self.slot] @ self.offset[:, :, None])[:, :, 0] + trans[self.slot]
 
 
 @dataclass(frozen=True)
@@ -331,16 +337,13 @@ class _RecoveryPlan:
 
     ``labels`` are the rows' links in canonical-cloud order.  ``segments`` is
     None when a canonical cloud cannot be registered, and ``problem`` says
-    why.  The solve's targets are the cloud links then the extensions;
-    ``target_order`` puts them in model order, the links ``target_index``.
+    why.  ``targets`` are the joint solve's, posed by the cloud links.
     """
 
     labels: tuple[str, ...]
     segments: _CloudSegments | None
     problem: str | None
-    extensions: _Extensions
-    target_index: np.ndarray
-    target_order: np.ndarray
+    targets: _Targets
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -348,24 +351,27 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _fixed_extensions(model: KinematicModel, posed: tuple[str, ...]) -> _Extensions:
-    """The links reached from ``posed`` through fixed joints only, in model
-    order, with their origins composed back to the posed ancestor."""
+def _solve_targets(model: KinematicModel, posed: tuple[str, ...]) -> _Targets:
+    """The ``posed`` links and the links reached from one through fixed
+    joints only, in model order, with those fixed origins composed back to
+    the posed ancestor."""
+    for link in posed:  # an unknown posed link raises rather than drops out
+        model._require_link(link)
     slot = {link: i for i, link in enumerate(posed)}
-    frames = {}  # extension link -> (slot, rotation, offset) in its ancestor's frame
+    frames = {}  # link -> (slot, rotation, offset) in its posed ancestor's frame; None: identity
     for link in model.links:
         joint = model._joint_by_child[link]
-        if link in slot or joint.kind != FIXED:
-            continue
-        parent = joint.parent_link
-        if parent in slot:
-            frames[link] = (slot[parent], joint.origin[:3, :3], joint.origin[:3, 3])
-        elif parent in frames:
-            s, rot, offset = frames[parent]
-            frames[link] = (s, rot @ joint.origin[:3, :3], rot @ joint.origin[:3, 3] + offset)
-    return _Extensions(tuple(frames),
-                       _frozen(np.array([s for s, _, _ in frames.values()], dtype=int)),
-                       _frozen(np.array([o for _, _, o in frames.values()]).reshape(-1, 3)))
+        if link in slot:
+            frames[link] = (slot[link], None, np.zeros(3))
+        elif joint.kind == FIXED and joint.parent_link in frames:
+            s, rot, offset = frames[joint.parent_link]
+            o_rot, o_shift = joint.origin[:3, :3], joint.origin[:3, 3]
+            frames[link] = ((s, o_rot, o_shift) if rot is None
+                            else (s, rot @ o_rot, rot @ o_shift + offset))
+    return _Targets(tuple(frames),
+                    _frozen(np.array([model._link_index[link] for link in frames], dtype=int)),
+                    _frozen(np.array([s for s, _, _ in frames.values()], dtype=int)),
+                    _frozen(np.array([o for _, _, o in frames.values()]).reshape(-1, 3)))
 
 
 def _recovery_plan(model: KinematicModel) -> _RecoveryPlan:
@@ -379,11 +385,7 @@ def _recovery_plan(model: KinematicModel) -> _RecoveryPlan:
         segments, problem = _cloud_segments(clouds, parents), None
     except ContractError as exc:
         segments, problem = None, str(exc)
-    posed = tuple(clouds)
-    ext = _fixed_extensions(model, posed)
-    index = np.array([model._link_index[link] for link in posed + ext.links])
-    order = np.argsort(index, kind="stable")
-    return _RecoveryPlan(labels, segments, problem, ext, _frozen(index[order]), _frozen(order))
+    return _RecoveryPlan(labels, segments, problem, _solve_targets(model, tuple(clouds)))
 
 
 def _text(el, key: str, what: str) -> str:
@@ -475,7 +477,11 @@ def load_model(urdf_text: str, *, virtual_tip_extension_length: float = 0.02) ->
     StructureError
         Kinematic loops, multiple roots, missing limits on movable joints,
         unsupported joint types, duplicate link or joint names.
+    ContractError
+        A non-finite ``virtual_tip_extension_length``.
     """
+    if not math.isfinite(virtual_tip_extension_length):
+        raise ContractError("virtual_tip_extension_length must be finite")
     try:
         root = ET.fromstring(urdf_text)
     except ET.ParseError as exc:

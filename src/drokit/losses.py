@@ -7,6 +7,7 @@ deterministic.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -34,8 +35,8 @@ def contrastive_weights(points_b: np.ndarray, lam: float,
     n = len(pts)
     if n < 1:
         raise ContractError("need at least one point")
-    if lam <= 0.0:
-        raise ContractError("lambda must be positive")
+    if not 0.0 < lam < math.inf:  # NaN fails too
+        raise ContractError("lam must be positive and finite")
     if n == 1:
         return np.ones((1, 1))
     w = np.tanh(lam * compute_dro(pts, pts))
@@ -64,8 +65,8 @@ def contrastive_loss(phi_a: np.ndarray, phi_b: np.ndarray, points_b: np.ndarray,
     if a.shape != b.shape or a.ndim != 2:
         raise ContractError(f"feature matrices must share shape (N, D), "
                             f"got {a.shape} and {b.shape}")
-    if tau <= 0.0:
-        raise ContractError("tau must be positive")
+    if not 0.0 < tau < math.inf:
+        raise ContractError("tau must be positive and finite")
     pts = _points_of(points_b)
     if len(pts) != len(a):
         raise ContractError("points_b length does not match feature rows")

@@ -4,6 +4,7 @@ forces, and the JSON-lines grasp record format."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,8 +122,8 @@ def controller_targets(model: KinematicModel, q_pred, object_centroid,
 
 def disturbance_forces(object_mass: float) -> np.ndarray:
     """Six axis-aligned test forces of magnitude 0.5 * mass (newtons)."""
-    if object_mass <= 0.0:
-        raise ContractError("object mass must be positive")
+    if not 0.0 < object_mass < math.inf:  # NaN fails too
+        raise ContractError("object_mass must be positive and finite")
     mag = 0.5 * object_mass
     return mag * np.array([
         [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],

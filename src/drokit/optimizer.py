@@ -10,6 +10,7 @@ monotone.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -19,7 +20,7 @@ from .cloud import PointCloud
 from .dro import recover_cloud
 from .errors import ContractError, DataError, StageError
 from .kinematics import (KinematicModel, LinkPoseSet, as_config, in_limits,
-                         _fixed_extensions, _fk_arrays, _jacobians)
+                         _fk_arrays, _jacobians, _solve_targets)
 from .registration import _pose_set, _register
 
 _LINESEARCH_SLOPE = 1e-4
@@ -38,12 +39,11 @@ class SolveParams:
     damping: float = 1e-6
 
     def __post_init__(self):
-        if self.step_bound <= 0.0:
-            raise ContractError("step_bound must be positive")
-        if self.tol_step <= 0.0 or self.tol_residual <= 0.0:
-            raise ContractError("tolerances must be positive")
-        if self.damping < 0.0:
-            raise ContractError("damping must be nonnegative")
+        for name in ("step_bound", "tol_step", "tol_residual"):
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ContractError(f"{name} must be positive and finite")
+        if not 0.0 <= self.damping < math.inf:
+            raise ContractError("damping must be nonnegative and finite")
         if self.max_iters < 1:
             raise ContractError("max_iters must be at least 1")
 
@@ -224,7 +224,8 @@ def _solve(model: KinematicModel, idx: np.ndarray, goal: np.ndarray, q: np.ndarr
 
 
 def link_targets_from_poses(model: KinematicModel, poses: LinkPoseSet) -> dict[str, np.ndarray]:
-    """Per-link translation targets, extended through fixed joints.
+    """Per-link translation targets, extended through fixed joints, in model
+    order.
 
     Links without an estimated pose (virtual tip extensions and any other
     fixed-joint children) inherit a target composed from the nearest posed
@@ -232,19 +233,10 @@ def link_targets_from_poses(model: KinematicModel, poses: LinkPoseSet) -> dict[s
     orientation.
     """
     posed = tuple(poses.links)
-    ext = _fixed_extensions(model, posed)
-    targets = {link: poses.translation(link).copy() for link in posed}
-    if ext.links:
-        rot = np.array([poses.rotation(link) for link in posed])
-        trans = np.array([poses.translation(link) for link in posed])
-        targets.update(zip(ext.links, _extension_targets(ext, rot, trans)))
-    return targets
-
-
-def _extension_targets(ext, rot: np.ndarray, trans: np.ndarray) -> np.ndarray:
-    """(E, 3) targets of the extensions, from the posed links' rotations
-    (L,3,3) and translations (L,3) in the order ``ext.slot`` indexes."""
-    return (rot[ext.slot] @ ext.offset[:, :, None])[:, :, 0] + trans[ext.slot]
+    table = _solve_targets(model, posed)
+    rot = np.array([poses.rotation(link) for link in posed]).reshape(-1, 3, 3)
+    trans = np.array([poses.translation(link) for link in posed]).reshape(-1, 3)
+    return dict(zip(table.links, table.goal(rot, trans)))
 
 
 def _stage(elapsed: dict[str, float], name: str, fn, *args):
@@ -287,7 +279,7 @@ def recover_grasp(model: KinematicModel, dro: np.ndarray, object_cloud,
     rot, trans, full_rank = _stage(elapsed, "registration", _register_planned,
                                    plan, recovered.points)
     q, report = _stage(elapsed, "optimization", _solve_planned,
-                       model, plan, rot, trans, q.copy(), params)
+                       model, plan.targets, rot, trans, q.copy(), params)
     return GraspResult(q=q, link_poses=_pose_set(plan.segments, rot, trans, full_rank),
                        recovered_cloud=recovered, report=report, elapsed=elapsed)
 
@@ -298,6 +290,5 @@ def _register_planned(plan, points: np.ndarray) -> tuple[np.ndarray, ...]:
     return _register(plan.segments, points)
 
 
-def _solve_planned(model, plan, rot, trans, q, params):
-    goal = np.concatenate((trans, _extension_targets(plan.extensions, rot, trans)))
-    return _solve(model, plan.target_index, goal[plan.target_order], q, params)
+def _solve_planned(model, targets, rot, trans, q, params):
+    return _solve(model, targets.index, targets.goal(rot, trans), q, params)

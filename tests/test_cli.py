@@ -360,6 +360,9 @@ def test_losses_contrastive_and_pose(tmp_path, capsys):
     assert run(["losses", "contrastive", pa, pb, pc]) == 0
     out = json.loads(capsys.readouterr().out)
     assert abs(out["contrastive"] - contrastive_loss(phi_a, phi_b, pts)) < 1e-12
+    for flag in ("--tau", "--lam"):
+        assert run(["losses", "contrastive", pa, pb, pc, flag, "nan"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag[2:]} must be")
 
     poses = {"a": {"R": list(np.eye(3).ravel()), "x": [0.0, 0.0, 0.0]}}
     gt = {"a": {"R": list(np.eye(3).ravel()), "x": [3.0, 4.0, 0.0]}}
@@ -465,3 +468,20 @@ def test_config_unknown_top_level_key_rejected(assets, capsys):
     code = run(["--config", cfg_path, "sample", "--mesh-dir", assets["mesh_dir"]])
     assert code == 2
     assert "modle_path" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, name", [
+    (["roundtrip", "--trials", "-3"], "--trials"),
+    (["bench", "--runs", "0"], "--runs"),
+    (["bench", "--runs", "2", "--warmup", "-5"], "--warmup"),
+    (["bench", "--runs", "1", "--damping", "nan"], "damping"),
+    (["bench", "--runs", "1", "--step-bound", "nan"], "step_bound"),
+    (["bench", "--runs", "1", "--tol-residual", "inf"], "tol_residual"),
+    (["roundtrip", "--trials", "1", "--noise-sigma", "-0.5"], "object_noise_sigma"),
+], ids=["trials", "runs", "warmup", "damping", "step-bound", "tol-residual", "noise-sigma"])
+def test_bad_count_or_parameter_exit_validation(assets, capsys, command, name):
+    code = run(["--output", assets["root"] / "bad", command[0], "--model", assets["urdf"],
+                "--mesh-dir", assets["mesh_dir"], "--object", assets["object"],
+                *command[1:], *SMALL])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {name} must be")

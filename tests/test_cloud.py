@@ -383,6 +383,10 @@ def test_object_cloud_noiseless_on_surface():
     cloud = sample_object_cloud(mesh, cfg)
     assert len(cloud) == 512
     assert np.abs(signed_distances(cloud.points, mesh)).max() < 1e-9
+    # zero is the only noise-free sigma: a negative or non-finite one is rejected
+    for bad in (-0.5, np.nan, np.inf):
+        with pytest.raises(ContractError, match="object_noise_sigma"):
+            SamplingConfig(object_noise_sigma=bad)
 
 
 def test_object_cloud_noise_scale():

@@ -206,6 +206,9 @@ def test_configurable_tip_extension_length():
     model = load_model(hands.single_link_urdf(), virtual_tip_extension_length=0.05)
     joint = model.parent_joint(model.tip_links[0])
     assert np.allclose(joint.origin[:3, 3], [0.05, 0.0, 0.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ContractError, match="virtual_tip_extension_length"):
+            load_model(hands.single_link_urdf(), virtual_tip_extension_length=bad)
 
 
 def test_with_clouds_shares_tables_and_fk():

@@ -220,6 +220,11 @@ def test_zero_norm_feature_row_rejected():
     bad[1] = 0.0
     with pytest.raises(ContractError):
         contrastive_loss(bad, phi, np.zeros((3, 3)) + np.arange(3)[:, None])
+    # nor a temperature or weight scale that NaN or inf would carry into the loss
+    for name in ("tau", "lam"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ContractError, match=name):
+                contrastive_loss(phi, phi, np.arange(9.0).reshape(3, 3), **{name: value})
 
 
 # ---------------------------------------------------------------- pose loss

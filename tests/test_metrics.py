@@ -88,9 +88,10 @@ def test_signs_match_finite_difference_oracle():
     for dof in range(6, model.n_dof):
         qp = q.copy(); qp[dof] += h
         qm = q.copy(); qm[dof] -= h
-        # oracle: mean distance of descendant tips only
-        tips = [t for t in model.tip_links
-                if model._path_mask[model._require_link(t), dof]]
+        # oracle: mean distance of descendant tips only, a tip descending
+        # from the joint whose child link is on the tip's parent_link chain
+        child = next(j.child_link for j in model.joints if model.dof_index.get(j.name) == dof)
+        tips = [t for t in model.tip_links if child in _ancestors(model, t)]
         def mean_d(qq):
             poses = forward_kinematics(model, qq)
             return np.mean([np.linalg.norm(poses.translation(t) - centroid) for t in tips])
@@ -100,6 +101,15 @@ def test_signs_match_finite_difference_oracle():
                                                      model.lower[dof], model.upper[dof]))
         assert q_inner[dof] == pytest.approx(np.clip(q[dof] - delta * sign,
                                                      model.lower[dof], model.upper[dof]))
+
+
+def _ancestors(model, link):
+    """``link`` and every link on its parent_link chain up to the root."""
+    chain = []
+    while link is not None:
+        chain.append(link)
+        link = model.parent_link(link)
+    return chain
 
 
 def test_wrist_entries_untouched_and_in_limits():
@@ -248,6 +258,9 @@ def test_nonpositive_mass_rejected():
         disturbance_forces(0.0)
     with pytest.raises(ContractError):
         disturbance_forces(-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ContractError, match="object_mass"):
+            disturbance_forces(bad)
 
 
 # ---------------------------------------------------------------- records

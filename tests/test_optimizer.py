@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from drokit import (ContractError, DataError, KinematicModel, PointCloud,
+from drokit import (ContractError, DataError, KinematicModel, LinkPoseSet, PointCloud,
                     SamplingConfig, SolveParams, StageError, cloud_fk, compute_dro,
                     forward_kinematics, in_limits, link_targets_from_poses, load_model,
                     recover_cloud, recover_grasp, register_all, sample_object_cloud,
@@ -99,6 +99,10 @@ def test_unknown_target_link_rejected():
     model = load_model(ONE_DOF_URDF)
     with pytest.raises(ContractError):
         solve_joints(model, {"ghost": np.zeros(3)}, np.zeros(model.n_dof))
+    # a posed link the model lacks is an error there too, not a dropped target
+    ghost = LinkPoseSet({"ghost": np.eye(3)}, {"ghost": np.zeros(3)})
+    with pytest.raises(ContractError, match="ghost"):
+        link_targets_from_poses(model, ghost)
 
 
 @pytest.mark.parametrize("bad", [np.zeros(2), np.zeros((1, 3)), np.zeros(4), 0.0])
@@ -170,6 +174,12 @@ def test_params_validation():
         SolveParams(tol_step=-1.0)
     with pytest.raises(ContractError):
         SolveParams(max_iters=0)
+    # NaN passes no sign test, and an infinite bound or tolerance is no bound
+    for name, bad in [("step_bound", np.nan), ("step_bound", np.inf), ("tol_step", np.nan),
+                      ("tol_residual", np.inf), ("damping", np.nan), ("damping", np.inf)]:
+        with pytest.raises(ContractError, match=name):
+            SolveParams(**{name: bad})
+    assert SolveParams(damping=0.0).damping == 0.0
 
 
 def box_problems(seed, count, orthogonal=False):
@@ -413,7 +423,9 @@ def test_recover_grasp_is_its_public_stages_on_random_chains():
                   if l == urdf_links[0] or bare.parent_joint(l).kind != "fixed"
                   or rng.random() < 0.5}
         model = bare.with_clouds(clouds)
-        assert set(model.recovery_plan.extensions.links) >= {"flange", "flange_tip_ext"}
+        table = model.recovery_plan.targets
+        assert set(table.links) >= {"flange", "flange_tip_ext"}
+        assert np.all(np.diff(table.index) > 0)
         cfg = SamplingConfig(n_object=32, seed=seed)
         object_cloud = sample_object_cloud(icosphere(radius=0.04), cfg)
         q_true = rng.uniform(model.lower, model.upper)
@@ -427,6 +439,7 @@ def test_recover_grasp_is_its_public_stages_on_random_chains():
         assert result.report == report
         _assert_same_poses(result.link_poses, poses)
         targets = link_targets_from_poses(model, poses)
+        assert list(targets) == [l for l in model.links if l in targets]
         fk = forward_kinematics(model, q_true)
         assert max(np.abs(targets[l] - fk.translation(l)).max() for l in targets) < 1e-6
     assert {"prismatic", "fixed"} <= kinds
