@@ -1,9 +1,10 @@
 """Command-line surface: sample, compute-dro, recover, roundtrip, bench,
 losses.
 
-Every command is deterministic under a fixed --seed and writes a manifest
-naming its inputs (with content hashes), parameters, and outputs, enough to
-reproduce the run exactly.
+Every command is deterministic under a fixed --seed.  sample, compute-dro
+and recover write a manifest naming their inputs (with content hashes),
+parameters, and outputs, enough to reproduce the run exactly; roundtrip and
+bench write a summary JSON without one, and losses only prints its result.
 
 Exit codes: 0 success, 2 validation error, 3 data/format error, 4 tolerance
 failure.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import statistics
 import sys
@@ -318,6 +320,9 @@ def _run_trial(model: KinematicModel, object_cloud: PointCloud, seed: int,
 
 def cmd_roundtrip(args) -> int:
     _require_count("--trials", args.trials, 0)
+    for flag, value in (("--tol-mean", args.tol_mean), ("--tol-max", args.tol_max)):
+        if not 0.0 < value < math.inf:  # NaN fails too
+            raise ContractError(f"{flag} must be positive and finite, got {value}")
     out = {"trials": args.trials}
     if args.trials > 0:
         model, object_cloud = _prepare_embodiment(args)

@@ -15,7 +15,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import ContractError, DataError
-from .kinematics import KinematicModel, as_config, _fk_arrays
+from .kinematics import KinematicModel, forward_kinematics
 from .rng import substream
 
 # Rigid registration needs at least 3 correspondences per link; reserving one
@@ -318,8 +318,8 @@ def cloud_fk(model: KinematicModel, q, canonical: dict[str, np.ndarray]) -> Poin
     for link in canonical:
         if link not in known:
             raise ContractError(f"canonical cloud for unknown link '{link}'")
-    q = as_config(model, q)
-    rot, trans = _fk_arrays(model, q)
+    poses = forward_kinematics(model, q)
+    rot, trans = poses.rotations, poses.translations
     parts = []
     labels = []
     for i, link in enumerate(model.links):

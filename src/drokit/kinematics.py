@@ -108,47 +108,54 @@ class JointSpec:
 
 @dataclass(frozen=True)
 class LinkPoseSet:
-    """World pose per link: rotation (3x3, proper) and translation (3,).
+    """World pose per link, stacked: row i of ``rotations`` (L,3,3, proper)
+    and of ``translations`` (L,3) belongs to ``links[i]``.
 
     ``fallback_links`` flags links whose rotation was not independently
     estimated (degenerate registration fallback); empty for FK output.
     """
 
-    rotations: dict[str, np.ndarray]
-    translations: dict[str, np.ndarray]
+    links: tuple[str, ...]
+    rotations: np.ndarray
+    translations: np.ndarray
     fallback_links: frozenset[str] = frozenset()
 
-    def __contains__(self, link: str) -> bool:
-        return link in self.rotations
+    def __post_init__(self):
+        n = len(self.links)
+        if np.shape(self.rotations) != (n, 3, 3) or np.shape(self.translations) != (n, 3):
+            raise ContractError(f"pose arrays of shape {np.shape(self.rotations)} and "
+                                f"{np.shape(self.translations)} do not match {n} links")
 
-    @property
-    def links(self) -> list[str]:
-        return list(self.rotations)
+    def __contains__(self, link: str) -> bool:
+        return link in self.links
 
     def rotation(self, link: str) -> np.ndarray:
-        return self.rotations[link]
+        return self.rotations[self.links.index(link)]
 
     def translation(self, link: str) -> np.ndarray:
-        return self.translations[link]
+        return self.translations[self.links.index(link)]
 
     def transform(self, link: str) -> np.ndarray:
         t = np.eye(4)
-        t[:3, :3] = self.rotations[link]
-        t[:3, 3] = self.translations[link]
+        t[:3, :3] = self.rotation(link)
+        t[:3, 3] = self.translation(link)
         return t
 
     def to_json_dict(self) -> dict:
-        return {
-            link: {"R": [float(v) for v in self.rotations[link].ravel()],
-                   "x": [float(v) for v in self.translations[link]]}
-            for link in self.rotations
-        }
+        return {link: {"R": [float(v) for v in rot.ravel()], "x": [float(v) for v in x]}
+                for link, rot, x in zip(self.links, self.rotations, self.translations)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LinkPoseSet":
-        rots = {k: np.array(v["R"], dtype=float).reshape(3, 3) for k, v in data.items()}
-        trans = {k: np.array(v["x"], dtype=float) for k, v in data.items()}
-        return cls(rots, trans)
+        """The inverse of :meth:`to_json_dict`: each link's "R" holds 9
+        entries and its "x" 3, else TypeError, KeyError or ValueError."""
+        if not isinstance(data, dict):
+            raise TypeError(f"a pose set is a JSON object keyed by link, "
+                            f"not {type(data).__name__}")
+        n = len(data)
+        rots = np.array([v["R"] for v in data.values()], dtype=float).reshape(n, 3, 3)
+        trans = np.array([v["x"] for v in data.values()], dtype=float).reshape(n, 3)
+        return cls(tuple(data), rots, trans)
 
 
 class KinematicModel:
@@ -156,9 +163,9 @@ class KinematicModel:
 
     The underscored index tables are private to this module.  Other modules
     use ``links``, ``tip_links``, ``dof_index``, ``lower``, ``upper``,
-    ``canonical_clouds``, ``recovery_plan``, :meth:`parent_link`,
-    :meth:`parent_joint`, and the module functions ``_fk_arrays``,
-    ``_jacobians`` and ``_solve_targets``.
+    ``canonical_clouds``, ``recovery_plan``, :meth:`parent_link` and
+    :meth:`parent_joint`; the optimizer also uses the module functions
+    ``_fk_arrays``, ``_jacobians`` and ``_solve_targets``.
     ``_fk_arrays`` composes every link's pose as 4x4 transforms and returns
     the rotations and translations as views of one (L, 4, 4) array made by
     that call, which callers must not write to.
@@ -325,10 +332,11 @@ class _Targets:
     slot: np.ndarray
     offset: np.ndarray
 
-    def goal(self, rot: np.ndarray, trans: np.ndarray) -> np.ndarray:
-        """(T, 3) goals from the posed links' rotations (P,3,3) and
-        translations (P,3) in the order ``slot`` indexes."""
-        return (rot[self.slot] @ self.offset[:, :, None])[:, :, 0] + trans[self.slot]
+    def goal(self, poses: LinkPoseSet) -> np.ndarray:
+        """(T, 3) goals from the pose set of the posed links, whose rows
+        ``slot`` indexes."""
+        rot, trans = poses.rotations[self.slot], poses.translations[self.slot]
+        return (rot @ self.offset[:, :, None])[:, :, 0] + trans
 
 
 @dataclass(frozen=True)
@@ -651,11 +659,9 @@ def forward_kinematics(model: KinematicModel, q) -> LinkPoseSet:
     """World pose of every link at configuration q.
 
     Pure and deterministic: identical inputs give bitwise-identical poses.
-    Each call's per-link arrays are views of one array made by that call.
+    Rows follow ``model.links``; the arrays are views of one array per call.
     """
-    q = as_config(model, q)
-    rot, trans = _fk_arrays(model, q)
-    return LinkPoseSet(dict(zip(model.links, rot)), dict(zip(model.links, trans)))
+    return LinkPoseSet(model.links, *_fk_arrays(model, as_config(model, q)))
 
 
 def _jacobians(model: KinematicModel, rot: np.ndarray, trans: np.ndarray,

@@ -94,6 +94,9 @@ def pose_loss(pose: tuple[np.ndarray, np.ndarray],
             raise ContractError(f"rotation must be 3x3, got {r.shape}")
         if np.abs(r.T @ r - np.eye(3)).max() > 1e-6 or np.linalg.det(r) < 0.0:
             raise ContractError("rotation is not orthonormal within 1e-6")
+    for t in (x, x_gt):
+        if t.shape != (3,):
+            raise ContractError(f"translation must have shape (3,), got {t.shape}")
     cos_angle = (np.trace(rot.T @ rot_gt) - 1.0) / 2.0
     angle = np.arccos(np.clip(cos_angle, -1.0, 1.0))
     return float(np.linalg.norm(x - x_gt) + angle)

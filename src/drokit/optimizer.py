@@ -21,7 +21,7 @@ from .dro import recover_cloud
 from .errors import ContractError, DataError, StageError
 from .kinematics import (KinematicModel, LinkPoseSet, as_config, in_limits,
                          _fk_arrays, _jacobians, _solve_targets)
-from .registration import _pose_set, _register
+from .registration import _register
 
 _LINESEARCH_SLOPE = 1e-4
 _MIN_ALPHA = 2.0 ** -20
@@ -225,18 +225,15 @@ def _solve(model: KinematicModel, idx: np.ndarray, goal: np.ndarray, q: np.ndarr
 
 def link_targets_from_poses(model: KinematicModel, poses: LinkPoseSet) -> dict[str, np.ndarray]:
     """Per-link translation targets, extended through fixed joints, in model
-    order.
+    order, all from one product over the pose set's stacked arrays.
 
     Links without an estimated pose (virtual tip extensions and any other
     fixed-joint children) inherit a target composed from the nearest posed
     ancestor, which is what lets translation targets pin down fingertip
     orientation.
     """
-    posed = tuple(poses.links)
-    table = _solve_targets(model, posed)
-    rot = np.array([poses.rotation(link) for link in posed]).reshape(-1, 3, 3)
-    trans = np.array([poses.translation(link) for link in posed]).reshape(-1, 3)
-    return dict(zip(table.links, table.goal(rot, trans)))
+    table = _solve_targets(model, poses.links)
+    return dict(zip(table.links, table.goal(poses)))
 
 
 def _stage(elapsed: dict[str, float], name: str, fn, *args):
@@ -276,19 +273,18 @@ def recover_grasp(model: KinematicModel, dro: np.ndarray, object_cloud,
     elapsed: dict[str, float] = {}
     recovered = _stage(elapsed, "multilateration", recover_cloud, dro, object_cloud,
                        plan.labels)
-    rot, trans, full_rank = _stage(elapsed, "registration", _register_planned,
-                                   plan, recovered.points)
+    poses = _stage(elapsed, "registration", _register_planned, plan, recovered.points)
     q, report = _stage(elapsed, "optimization", _solve_planned,
-                       model, plan.targets, rot, trans, q.copy(), params)
-    return GraspResult(q=q, link_poses=_pose_set(plan.segments, rot, trans, full_rank),
-                       recovered_cloud=recovered, report=report, elapsed=elapsed)
+                       model, plan.targets, poses, q.copy(), params)
+    return GraspResult(q=q, link_poses=poses, recovered_cloud=recovered, report=report,
+                       elapsed=elapsed)
 
 
-def _register_planned(plan, points: np.ndarray) -> tuple[np.ndarray, ...]:
+def _register_planned(plan, points: np.ndarray) -> LinkPoseSet:
     if plan.segments is None:
         raise ContractError(plan.problem)
     return _register(plan.segments, points)
 
 
-def _solve_planned(model, targets, rot, trans, q, params):
-    return _solve(model, targets.index, targets.goal(rot, trans), q, params)
+def _solve_planned(model, targets, poses, q, params):
+    return _solve(model, targets.index, targets.goal(poses), q, params)

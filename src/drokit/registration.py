@@ -35,11 +35,11 @@ def register_link(canonical_points: np.ndarray, predicted_points: np.ndarray,
     """
     tag = f" for link '{name}'" if name else ""
     a, b = _checked(canonical_points, predicted_points, tag)
-    rot, trans, full_rank = _register(_cloud_segments({name: a}, None), b)
-    if not full_rank[0]:
+    poses = _register(_cloud_segments({name: a}, None), b)
+    if poses.fallback_links:
         raise DegeneracyError(f"registration{tag}: points are collinear or coincident "
                               "(rank-deficient cross-covariance)")
-    return rot[0], trans[0]
+    return poses.rotations[0], poses.translations[0]
 
 
 def register_all(canonical: dict[str, np.ndarray], recovered: PointCloud,
@@ -56,7 +56,7 @@ def register_all(canonical: dict[str, np.ndarray], recovered: PointCloud,
         missing = sorted(set(canonical) ^ set(recovered_by_link))
         raise ContractError(f"recovered labels do not match canonical links: {missing}")
     if not canonical:
-        return LinkPoseSet({}, {})
+        return LinkPoseSet((), np.zeros((0, 3, 3)), np.zeros((0, 3)))
     segments = _cloud_segments(canonical, parents)
     for link in segments.links:
         a, b = np.shape(canonical[link]), recovered_by_link[link].shape
@@ -64,7 +64,7 @@ def register_all(canonical: dict[str, np.ndarray], recovered: PointCloud,
             raise ContractError(f"registration for link '{link}': point arrays must "
                                 f"share shape (M, 3), got {a} and {b}")
     points = np.concatenate([recovered_by_link[link] for link in segments.links])
-    return _pose_set(segments, *_register(segments, points))
+    return _register(segments, points)
 
 
 def _checked(canonical_points, predicted_points, tag: str) -> tuple[np.ndarray, np.ndarray]:
@@ -135,11 +135,12 @@ def _cloud_segments(canonical: dict, parents: dict | None) -> _CloudSegments:
     return _CloudSegments(links, starts, counts, centroid, centred, tuple(anchor))
 
 
-def _register(segments: _CloudSegments, points: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Rotations (L,3,3), translations (L,3) and full-rank flags of the
-    links whose points are stacked in ``segments.links`` order.
+def _register(segments: _CloudSegments, points: np.ndarray) -> LinkPoseSet:
+    """Pose set of the links whose points are stacked in ``segments.links``
+    order, its rows in that order.
 
-    A rank-deficient link takes its anchor's rotation, or the identity."""
+    A rank-deficient link takes its anchor's rotation, or the identity, and
+    is flagged in ``fallback_links``."""
     # per link, the sum of the points (measured from the first one, so the
     # products stay as small as the cloud wherever it lies) gives the
     # centroid, and the sums of their products with the centred canonical
@@ -160,12 +161,8 @@ def _register(segments: _CloudSegments, points: np.ndarray) -> tuple[np.ndarray,
         rot[i] = rot[anchor] if anchor >= 0 else np.eye(3)
     cb = sums[:, 0] / segments.counts[:, None] + origin
     trans = cb - (rot @ segments.centroid[:, :, None])[:, :, 0]
-    return rot, trans, full_rank
-
-
-def _pose_set(segments: _CloudSegments, rot, trans, full_rank) -> LinkPoseSet:
     links = segments.links
-    return LinkPoseSet(dict(zip(links, rot)), dict(zip(links, trans)),
+    return LinkPoseSet(links, rot, trans,
                        frozenset(links[i] for i in np.flatnonzero(~full_rank)))
 
 

@@ -210,6 +210,24 @@ def test_recover_round_trip(assets):
     assert len(cloud) == len(read_dropc(robot))
 
 
+def test_recover_from_given_q_init(assets):
+    out, robot, obj, model, q = _computed_assets(assets)
+    # start 0.01 off the grasp in every coordinate, not at the default start
+    q_init = np.clip(q + 0.01, model.lower, model.upper)
+    text = ",".join(repr(float(v)) for v in q_init)
+    code = run(["--output", out, "recover", out / "dro.dromx", obj,
+                "--model", assets["urdf"], "--robot-cloud", robot, "--q-init", text])
+    assert code == 0
+    manifest = json.loads((out / "recover_manifest.json").read_text())
+    assert manifest["params"]["q_init"] == [float(v) for v in q_init]
+    result = json.loads((out / "recover_result.json").read_text())
+    fa = forward_kinematics(model, np.array(result["q"]))
+    fb = forward_kinematics(model, q)
+    errs = [np.linalg.norm(fa.translation(l) - fb.translation(l))
+            for l in read_dropc(robot).by_link()]
+    assert np.mean(errs) < 1e-3
+
+
 def test_recover_manifest_hashes_result(assets):
     out, robot, obj, _, _ = _computed_assets(assets)
     code = run(["--output", out, "recover", out / "dro.dromx", obj,
@@ -374,6 +392,20 @@ def test_losses_contrastive_and_pose(tmp_path, capsys):
     assert abs(out["pose"] - 5.0) < 1e-12
 
 
+@pytest.mark.parametrize("doc", [
+    [{"R": list(np.eye(3).ravel()), "x": [0.0, 0.0, 0.0]}],
+    {"a": {"R": list(np.eye(3).ravel()), "x": [0.0, 0.0]}},
+    {"a": {"R": list(np.eye(3).ravel()) * 2, "x": [0.0, 0.0, 0.0]}},
+], ids=["list", "x-two-entries", "r-eighteen-entries"])
+def test_losses_pose_malformed_file_exit_data(tmp_path, capsys, doc):
+    good = {"a": {"R": list(np.eye(3).ravel()), "x": [0.0, 0.0, 0.0]}}
+    pp, pg = tmp_path / "p.json", tmp_path / "g.json"
+    pp.write_text(json.dumps(doc))
+    pg.write_text(json.dumps(good))
+    assert run(["losses", "pose", pp, pg]) == 3
+    assert "not a valid pose file" in capsys.readouterr().err
+
+
 def test_losses_wrong_file_count(tmp_path, capsys):
     assert run(["losses", "dro-l1", tmp_path / "x"]) == 2
 
@@ -478,7 +510,12 @@ def test_config_unknown_top_level_key_rejected(assets, capsys):
     (["bench", "--runs", "1", "--step-bound", "nan"], "step_bound"),
     (["bench", "--runs", "1", "--tol-residual", "inf"], "tol_residual"),
     (["roundtrip", "--trials", "1", "--noise-sigma", "-0.5"], "object_noise_sigma"),
-], ids=["trials", "runs", "warmup", "damping", "step-bound", "tol-residual", "noise-sigma"])
+    (["roundtrip", "--trials", "1", "--tol-mean", "nan"], "--tol-mean"),
+    (["roundtrip", "--trials", "1", "--tol-mean", "inf", "--tol-max", "inf"], "--tol-mean"),
+    (["roundtrip", "--trials", "1", "--tol-mean", "-1"], "--tol-mean"),
+    (["roundtrip", "--trials", "1", "--tol-max", "nan"], "--tol-max"),
+], ids=["trials", "runs", "warmup", "damping", "step-bound", "tol-residual", "noise-sigma",
+        "tol-mean-nan", "tol-inf", "tol-mean-negative", "tol-max-nan"])
 def test_bad_count_or_parameter_exit_validation(assets, capsys, command, name):
     code = run(["--output", assets["root"] / "bad", command[0], "--model", assets["urdf"],
                 "--mesh-dir", assets["mesh_dir"], "--object", assets["object"],

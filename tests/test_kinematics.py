@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import drokit
-from drokit import (ContractError, KinematicModel, StructureError, UrdfError,
-                    clamp_to_limits, forward_kinematics, in_limits,
-                    link_origin_jacobian, load_model, matrix_from_rpy,
-                    model_summary, rpy_from_matrix)
+from drokit import (ContractError, KinematicModel, LinkPoseSet, PointCloud, StageError,
+                    StructureError, UrdfError, clamp_to_limits, forward_kinematics,
+                    in_limits, link_origin_jacobian, load_model, matrix_from_rpy,
+                    model_summary, recover_grasp, rpy_from_matrix)
 from drokit.kinematics import PRISMATIC, VIRTUAL_PRISMATIC, _fk_arrays, _jacobians
 
 import hands
@@ -193,6 +193,69 @@ def test_malformed_urdf_attribute_names_element(good, bad, message):
         load_model(_ONE_JOINT.replace(good, bad))
 
 
+def _joint_xml(name, kind, parent, child, extra='<axis xyz="0 0 1"/>'):
+    return (f'<joint name="{name}" type="{kind}"><parent link="{parent}"/>'
+            f'<child link="{child}"/>{extra}</joint>')
+
+
+_LIMITS = '<axis xyz="0 0 1"/><limit lower="-1" upper="1"/>'
+
+
+@pytest.mark.parametrize("body, message", [
+    ('<link name="a"/><link name="a"/>', "duplicate link names"),
+    ("", "defines no links"),
+    ('<link name="a"/><link name="b"/><joint name="j" type="fixed"><parent link="a"/></joint>',
+     "joint 'j' missing parent or child"),
+    ('<link name="a"/>' + _joint_xml("j", "fixed", "a", "ghost", ""),
+     "joint 'j' references unknown link 'ghost'"),
+    ('<link name="a"/><link name="b"/>'
+     + _joint_xml("j", "revolute", "a", "b", '<limit lower="1" upper="-1"/>'),
+     "joint 'j' has lower limit above upper"),
+    ('<link name="a"/><link name="b"/>' + _joint_xml("j", "planar", "a", "b"),
+     "unsupported joint type 'planar' on 'j'"),
+    ('<link name="a"/><link name="b"/>'
+     + _joint_xml("j", "revolute", "a", "b", '<axis xyz="0 0 0"/><limit lower="-1" upper="1"/>'),
+     "joint 'j' has zero axis"),
+    ('<link name="a"/><link name="b"/><link name="c"/>'
+     + _joint_xml("j1", "fixed", "a", "c", "") + _joint_xml("j2", "fixed", "b", "c", ""),
+     "link 'c' has two parent joints"),
+    ('<link name="a"/><link name="b"/><link name="c"/>'
+     + _joint_xml("j1", "fixed", "b", "c", "") + _joint_xml("j2", "fixed", "c", "b", ""),
+     "links not reachable from root 'a': ['b', 'c']"),
+    ('<link name="a"/><link name="virtual_link_x"/>'
+     + _joint_xml("j", "revolute", "a", "virtual_link_x", _LIMITS),
+     "collide with virtual frames: ['virtual_link_x']"),
+    ('<link name="a"/><link name="b"/><link name="b_tip_ext"/>'
+     + _joint_xml("j1", "revolute", "a", "b", _LIMITS)
+     + _joint_xml("j2", "fixed", "a", "b_tip_ext", ""),
+     "virtual tip link name 'b_tip_ext' collides"),
+], ids=["duplicate-link", "no-links", "no-child", "unknown-link", "limits-reversed",
+        "unsupported-type", "zero-axis", "two-parents", "unreachable-cycle",
+        "virtual-wrist-name", "virtual-tip-name"])
+def test_malformed_urdf_structure_names_the_fault(body, message):
+    with pytest.raises(StructureError, match=re.escape(message)):
+        load_model(f'<robot name="x">{body}</robot>')
+
+
+def test_continuous_joint_is_a_full_turn_revolute():
+    model = load_model('<robot name="x"><link name="a"/><link name="b"/><link name="c"/>'
+                       + _joint_xml("spin", "continuous", "a", "b", '<axis xyz="0 1 1"/>')
+                       + _joint_xml("j", "revolute", "b", "c",
+                                    '<origin xyz="0.1 0 0"/>' + _LIMITS)
+                       + "</robot>")
+    joint = model.parent_joint("b")
+    assert joint.kind == "revolute" and joint.limits == (-math.pi, math.pi)
+    d = model.dof_index["spin"]
+    assert (model.lower[d], model.upper[d]) == (-math.pi, math.pi)
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        q = rng.uniform(np.maximum(model.lower, -1.0), np.minimum(model.upper, 1.0))
+        q[d] = rng.uniform(-math.pi, math.pi)
+        for link in ("c", "c_tip_ext"):
+            jac = link_origin_jacobian(model, q, link)
+            assert np.abs(jac - finite_difference_jacobian(model, q, link)).max() < 1e-6
+
+
 def test_two_roots_rejected():
     urdf = """<robot name="x">
       <link name="a"/><link name="b"/><link name="c"/>
@@ -295,12 +358,21 @@ def test_plan_does_not_depend_on_cloud_dict_order(three_finger):
 
 def test_plan_defers_an_unregistrable_cloud():
     # a two-point cloud cannot be registered; attaching it still works, and
-    # the plan keeps the reason for the registration stage
+    # the plan keeps the reason for the registration stage, which raises it
     model = load_model(hands.planar_two_link_arm())
-    plan = model.with_clouds({model.links[-2]: np.zeros((2, 3))}).recovery_plan
+    model = model.with_clouds({model.links[-2]: np.zeros((2, 3))})
+    plan = model.recovery_plan
     assert plan.segments is None
     assert "need at least 3 points" in plan.problem
     assert len(plan.labels) == 2
+    obj = np.random.default_rng(8).normal(0.0, 0.05, size=(16, 3))
+    rows = np.array([[0.2, 0.0, 0.0], [0.25, 0.0, 0.0]])
+    matrix = np.linalg.norm(rows[:, None, :] - obj[None, :, :], axis=-1)
+    with pytest.raises(StageError) as err:
+        recover_grasp(model, matrix, PointCloud(obj), np.zeros(model.n_dof))
+    assert err.value.stage == "registration"
+    assert isinstance(err.value.cause, ContractError)
+    assert "need at least 3 points" in str(err.value)
 
 
 # ---------------------------------------------------------------- forward kinematics
@@ -379,6 +451,30 @@ def test_fk_deterministic_bitwise():
         assert np.array_equal(a.rotation(link), b.rotation(link))
 
 
+def test_fk_pose_set_holds_the_fk_arrays():
+    urdf, _ = hands.five_finger_hand()
+    model = load_model(urdf)
+    q = np.random.default_rng(13).uniform(model.lower, model.upper)
+    poses = forward_kinematics(model, q)
+    rot, trans = _fk_arrays(model, q)
+    assert poses.links == model.links
+    assert poses.rotations.tobytes() == rot.tobytes()
+    assert poses.translations.tobytes() == trans.tobytes()
+
+
+@pytest.mark.parametrize("rot, trans", [
+    (np.eye(3)[None].repeat(3, axis=0), np.zeros((2, 3))),
+    (np.eye(3)[None], np.zeros((2, 3))),
+    (np.eye(3), np.zeros((2, 3))),
+    (np.eye(3)[None].repeat(2, axis=0), np.zeros(3)),
+    (np.eye(3)[None].repeat(2, axis=0), np.zeros((2, 2))),
+], ids=["rot-rows", "rot-too-few", "rot-unstacked", "trans-unstacked", "trans-width"])
+def test_pose_set_rejects_arrays_not_matching_its_links(rot, trans):
+    LinkPoseSet(("a", "b"), np.eye(3)[None].repeat(2, axis=0), np.zeros((2, 3)))
+    with pytest.raises(ContractError, match="2 links"):
+        LinkPoseSet(("a", "b"), rot, trans)
+
+
 def test_fk_arrays_are_fresh_per_call():
     # the line search keeps the last iterate's arrays while it evaluates the
     # next one, so a call must never write into an earlier call's result
@@ -443,6 +539,19 @@ def test_rpy_matrix_round_trip():
         rot = matrix_from_rpy(*rpy)
         back = matrix_from_rpy(*rpy_from_matrix(rot))
         assert np.allclose(rot, back, atol=1e-12)
+
+
+def test_rpy_round_trip_at_gimbal_lock():
+    # at pitch = +-pi/2 only roll - yaw (or roll + yaw) is observable, and
+    # rpy_from_matrix folds it into roll
+    rng = np.random.default_rng(19)
+    for pitch in (math.pi / 2, -math.pi / 2):
+        for _ in range(10):
+            rot = matrix_from_rpy(rng.uniform(-math.pi, math.pi), pitch,
+                                  rng.uniform(-math.pi, math.pi))
+            rpy = rpy_from_matrix(rot)
+            assert rpy[1] == pitch and rpy[2] == 0.0
+            assert np.allclose(matrix_from_rpy(*rpy), rot, atol=1e-12)
 
 
 # ---------------------------------------------------------------- jacobian

@@ -265,6 +265,14 @@ def test_pose_loss_rejects_non_orthonormal():
         pose_loss((bad, np.zeros(3)), (np.eye(3), np.zeros(3)))
 
 
+@pytest.mark.parametrize("x", [np.zeros(2), np.zeros(4), np.zeros((1, 3))])
+def test_pose_loss_rejects_translation_not_of_shape_3(x):
+    with pytest.raises(ContractError, match="translation must have shape"):
+        pose_loss((np.eye(3), x), (np.eye(3), np.zeros(3)))
+    with pytest.raises(ContractError, match="translation must have shape"):
+        pose_loss((np.eye(3), np.zeros(3)), (np.eye(3), x))
+
+
 # ---------------------------------------------------------------- penetration
 
 def test_no_penetration_outside():

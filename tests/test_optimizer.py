@@ -100,7 +100,7 @@ def test_unknown_target_link_rejected():
     with pytest.raises(ContractError):
         solve_joints(model, {"ghost": np.zeros(3)}, np.zeros(model.n_dof))
     # a posed link the model lacks is an error there too, not a dropped target
-    ghost = LinkPoseSet({"ghost": np.eye(3)}, {"ghost": np.zeros(3)})
+    ghost = LinkPoseSet(("ghost",), np.eye(3)[None], np.zeros((1, 3)))
     with pytest.raises(ContractError, match="ghost"):
         link_targets_from_poses(model, ghost)
 
@@ -460,6 +460,21 @@ def test_fallback_poses_are_register_alls(three_finger):
     assert result.link_poses.fallback_links == {"f1_seg2"}
     _assert_same_poses(result.link_poses, poses)
     assert result.q.tobytes() == q.tobytes()
+
+
+@pytest.mark.parametrize("hand", ["three_finger", "five_finger"])
+def test_recover_grasp_poses_are_register_alls_arrays(hand, request):
+    model, _, object_cloud = request.getfixturevalue(hand)
+    q_true = _random_grasp(model, substream(43, hand))
+    matrix = compute_dro(cloud_fk(model, q_true, model.canonical_clouds), object_cloud)
+    q_init = 0.5 * (model.lower + model.upper)
+    q_init[:6] = q_true[:6]
+    poses = recover_grasp(model, matrix, object_cloud, q_init).link_poses
+    _, _, expected = _public_chain(model, matrix, object_cloud, q_init)
+    assert poses.links == expected.links == tuple(model.canonical_clouds)
+    assert poses.rotations.shape == (len(poses.links), 3, 3)
+    assert poses.rotations.tobytes() == expected.rotations.tobytes()
+    assert poses.translations.tobytes() == expected.translations.tobytes()
 
 
 @pytest.mark.parametrize("hand", ["three_finger", "five_finger"])
