@@ -148,12 +148,6 @@ def _resolve_q(args, model: KinematicModel) -> np.ndarray:
     raise ContractError("provide --q or --grasp-file")
 
 
-def _mid_range_init(model: KinematicModel, wrist: np.ndarray) -> np.ndarray:
-    q = 0.5 * (model.lower + model.upper)
-    q[:6] = wrist
-    return q
-
-
 def _given(args, fields) -> dict:
     return {f: getattr(args, f) for f in fields if getattr(args, f) is not None}
 
@@ -261,10 +255,7 @@ def cmd_recover(args) -> int:
             f"matrix shape {matrix.shape} does not match robot cloud "
             f"({len(robot_cloud)}) x object cloud ({len(object_cloud)})")
 
-    if args.q_init is not None:
-        q_init = _parse_q(args.q_init, model.n_dof)
-    else:
-        q_init = _mid_range_init(model, np.zeros(6))
+    q_init = None if args.q_init is None else _parse_q(args.q_init, model.n_dof)
     result = recover_grasp(model, matrix, object_cloud, q_init, _solve_params(args))
 
     out_dir = Path(args.output)
@@ -279,7 +270,8 @@ def cmd_recover(args) -> int:
     _manifest(out_dir, "recover_manifest.json", "recover", args.seed,
               {"dro": str(dro_path), "object_cloud": str(object_path),
                "robot_cloud": str(robot_path), "model": args.model},
-              {"q_init": [float(v) for v in q_init]}, outputs)
+              {"q_init": None if q_init is None else [float(v) for v in q_init]},
+              outputs)
     print(json.dumps(result.to_json_dict()))
     return EXIT_OK
 
@@ -298,24 +290,26 @@ def _prepare_embodiment(args):
 
 def _trial(model: KinematicModel, object_cloud: PointCloud, seed: int, label: str):
     """A random grasp from substream(seed, label): (q_true, its exact
-    distance matrix, the mid-range start at the true wrist)."""
+    distance matrix)."""
     rng = substream(seed, label)
     q_true = np.empty(model.n_dof)
     q_true[:3] = rng.uniform(-TRIAL_WRIST_RANGE, TRIAL_WRIST_RANGE, 3)
     q_true[3:6] = rng.uniform(-np.pi, np.pi, 3)
     q_true[6:] = rng.uniform(model.lower[6:], model.upper[6:])
     matrix = compute_dro(cloud_fk(model, q_true, model.canonical_clouds), object_cloud)
-    return q_true, matrix, _mid_range_init(model, q_true[:6])
+    return q_true, matrix
 
 
 def _run_trial(model: KinematicModel, object_cloud: PointCloud, seed: int,
                trial: int, params: SolveParams):
-    q_true, matrix, q_init = _trial(model, object_cloud, seed, f"trial:{trial}")
-    result = recover_grasp(model, matrix, object_cloud, q_init, params)
+    """(link errors, mean actuated-joint error, stage times, iterations);
+    the link errors judge the wrist, whose rotation has two rpy triples."""
+    q_true, matrix = _trial(model, object_cloud, seed, f"trial:{trial}")
+    result = recover_grasp(model, matrix, object_cloud, params=params)
     links = _geometric_links(model, model.canonical_clouds)
     errors = _link_errors(model, links, result.q, q_true)
-    joint_err = float(np.abs(result.q - q_true).mean())
-    return errors, joint_err, result.elapsed
+    joint_err = float(np.abs(result.q[6:] - q_true[6:]).sum()) / max(model.n_dof - 6, 1)
+    return errors, joint_err, result.elapsed, result.report.iterations
 
 
 def cmd_roundtrip(args) -> int:
@@ -336,10 +330,13 @@ def cmd_roundtrip(args) -> int:
         all_errors = np.concatenate([r[0] for r in results])
         joint_errors = [r[1] for r in results]
         timings = {s: float(np.mean([r[2][s] for r in results])) for s in results[0][2]}
+        iterations = [r[3] for r in results]
         out.update({
             "mean_link_error_m": float(all_errors.mean()),
             "max_link_error_m": float(all_errors.max()),
             "mean_joint_error": float(np.mean(joint_errors)),
+            "iterations": {"median": float(statistics.median(iterations)),
+                           "max": max(iterations)},
             "timings_mean_s": timings,
             "tolerances": {"mean_m": args.tol_mean, "max_m": args.tol_max},
         })
@@ -358,12 +355,12 @@ def cmd_bench(args) -> int:
     _require_count("--warmup", args.warmup, 0)
     model, object_cloud = _prepare_embodiment(args)
     params = _solve_params(args)
-    _, matrix, q_init = _trial(model, object_cloud, args.seed, "trial:bench")
+    _, matrix = _trial(model, object_cloud, args.seed, "trial:bench")
 
     samples: dict[str, list[float]] = {}
     for run in range(args.warmup + args.runs):
         t0 = time.perf_counter()
-        result = recover_grasp(model, matrix, object_cloud, q_init, params)
+        result = recover_grasp(model, matrix, object_cloud, params=params)
         total = time.perf_counter() - t0
         if run < args.warmup:
             continue
@@ -476,7 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("object_cloud", help="object DROPC file")
     p.add_argument("--model", default=None)
     p.add_argument("--robot-cloud", required=True, help="canonical labeled DROPC file")
-    p.add_argument("--q-init", default=None, help="comma-separated initial configuration")
+    p.add_argument("--q-init", default=None,
+                   help="comma-separated initial configuration (default: read off "
+                        "the registered link poses)")
     p.add_argument("--emit-cloud", action="store_true",
                    help="also write the recovered labeled cloud")
     _add_solver_flags(p)

@@ -121,19 +121,30 @@ class LinkPoseSet:
     fallback_links: frozenset[str] = frozenset()
 
     def __post_init__(self):
+        # float64 arrays pass through as they are, so FK's views stay views
+        rot = np.asarray(self.rotations, dtype=float)
+        trans = np.asarray(self.translations, dtype=float)
         n = len(self.links)
-        if np.shape(self.rotations) != (n, 3, 3) or np.shape(self.translations) != (n, 3):
-            raise ContractError(f"pose arrays of shape {np.shape(self.rotations)} and "
-                                f"{np.shape(self.translations)} do not match {n} links")
+        if rot.shape != (n, 3, 3) or trans.shape != (n, 3):
+            raise ContractError(f"pose arrays of shape {rot.shape} and "
+                                f"{trans.shape} do not match {n} links")
+        object.__setattr__(self, "rotations", rot)
+        object.__setattr__(self, "translations", trans)
 
     def __contains__(self, link: str) -> bool:
         return link in self.links
 
+    def _row(self, link: str) -> int:
+        try:
+            return self.links.index(link)
+        except ValueError:
+            raise ContractError(f"pose set has no link '{link}'") from None
+
     def rotation(self, link: str) -> np.ndarray:
-        return self.rotations[self.links.index(link)]
+        return self.rotations[self._row(link)]
 
     def translation(self, link: str) -> np.ndarray:
-        return self.translations[self.links.index(link)]
+        return self.translations[self._row(link)]
 
     def transform(self, link: str) -> np.ndarray:
         t = np.eye(4)
@@ -165,7 +176,8 @@ class KinematicModel:
     use ``links``, ``tip_links``, ``dof_index``, ``lower``, ``upper``,
     ``canonical_clouds``, ``recovery_plan``, :meth:`parent_link` and
     :meth:`parent_joint`; the optimizer also uses the module functions
-    ``_fk_arrays``, ``_jacobians`` and ``_solve_targets``.
+    ``_fk_arrays``, ``_jacobians``, ``_solve_targets`` and ``_joint_start``,
+    and ``metrics.controller_targets`` uses ``_fk_arrays`` and ``_jacobians``.
     ``_fk_arrays`` composes every link's pose as 4x4 transforms and returns
     the rotations and translations as views of one (L, 4, 4) array made by
     that call, which callers must not write to.
@@ -662,6 +674,40 @@ def forward_kinematics(model: KinematicModel, q) -> LinkPoseSet:
     Rows follow ``model.links``; the arrays are views of one array per call.
     """
     return LinkPoseSet(model.links, *_fk_arrays(model, as_config(model, q)))
+
+
+def _joint_start(model: KinematicModel, poses: LinkPoseSet) -> np.ndarray:
+    """The configuration read off link poses, clamped to the limits.
+
+    The wrist is the root link's translation and rpy, as the virtual wrist
+    chain has identity origins.  A joint with origin (R_o, t_o) and unit
+    axis a between posed links p and c has M = (R_p R_o)^T R_c = exp(theta K),
+    so theta = atan2(a . vee(M - M^T), tr M - a^T M a) (Murray, Li & Sastry
+    1994, ch. 2-3), and a prismatic one shifts by
+    d = a . ((R_p R_o)^T (t_c - t_p) - R_o^T t_o).  A joint with an unposed
+    or fallback link at either end stays mid-range, since a fallback
+    rotation is not the link's own.
+    """
+    q = 0.5 * (model.lower + model.upper)
+    row = {link: i for i, link in enumerate(poses.links) if link not in poses.fallback_links}
+    rot, trans = poses.rotations, poses.translations
+    root = model.links[model._dof_child[3]]  # the last virtual wrist joint's child
+    if root in row:
+        q[:3] = trans[row[root]]
+        q[3:6] = rpy_from_matrix(rot[row[root]])
+    for d in range(6, model.n_dof):
+        joint = model._joint_by_child[model.links[model._dof_child[d]]]
+        if joint.parent_link not in row or joint.child_link not in row:
+            continue
+        p, c, a = row[joint.parent_link], row[joint.child_link], joint.axis
+        o_rot, o_shift = joint.origin[:3, :3], joint.origin[:3, 3]
+        frame = rot[p] @ o_rot
+        if joint.kind == REVOLUTE:
+            m = frame.T @ rot[c]
+            q[d] = math.atan2(a @ (m - m.T)[[2, 0, 1], [1, 2, 0]], np.trace(m) - a @ m @ a)
+        else:
+            q[d] = a @ (frame.T @ (trans[c] - trans[p]) - o_rot.T @ o_shift)
+    return np.clip(q, model.lower, model.upper)
 
 
 def _jacobians(model: KinematicModel, rot: np.ndarray, trans: np.ndarray,

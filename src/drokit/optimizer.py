@@ -20,7 +20,7 @@ from .cloud import PointCloud
 from .dro import recover_cloud
 from .errors import ContractError, DataError, StageError
 from .kinematics import (KinematicModel, LinkPoseSet, as_config, in_limits,
-                         _fk_arrays, _jacobians, _solve_targets)
+                         _fk_arrays, _jacobians, _joint_start, _solve_targets)
 from .registration import _register
 
 _LINESEARCH_SLOPE = 1e-4
@@ -249,7 +249,7 @@ def _stage(elapsed: dict[str, float], name: str, fn, *args):
 
 
 def recover_grasp(model: KinematicModel, dro: np.ndarray, object_cloud,
-                  q_init, params: SolveParams | None = None) -> GraspResult:
+                  q_init=None, params: SolveParams | None = None) -> GraspResult:
     """Distance matrix -> robot cloud -> link poses -> joint configuration.
 
     The stages are multilateration (recover_cloud), registration
@@ -258,13 +258,21 @@ def recover_grasp(model: KinematicModel, dro: np.ndarray, object_cloud,
     carries the stage name.  They run the kernels of those public calls on
     the model's recovery plan, so the result is the hand-called chain's bit
     for bit.  ``q`` is inside the joint limits.
+
+    Without ``q_init`` the solve starts, inside the optimization stage, from
+    the configuration read off the registered poses: the root link's pose
+    gives the wrist, and each joint between two registered links not in
+    ``fallback_links`` the motion from its parent's frame to its child's;
+    the others start mid-range.  On an exact matrix that start is the grasp.
     """
     plan = model.recovery_plan
     if plan is None:
         raise ContractError("model has no canonical clouds attached")
-    q = as_config(model, q_init)
-    if not in_limits(model, q):
-        raise ContractError("q_init violates joint limits")
+    q = None
+    if q_init is not None:
+        q = as_config(model, q_init).copy()
+        if not in_limits(model, q):
+            raise ContractError("q_init violates joint limits")
     dro = np.asarray(dro, dtype=float)
     if dro.ndim != 2 or dro.shape[0] != len(plan.labels):
         raise ContractError(f"distance matrix shape {dro.shape} does not match the "
@@ -275,7 +283,7 @@ def recover_grasp(model: KinematicModel, dro: np.ndarray, object_cloud,
                        plan.labels)
     poses = _stage(elapsed, "registration", _register_planned, plan, recovered.points)
     q, report = _stage(elapsed, "optimization", _solve_planned,
-                       model, plan.targets, poses, q.copy(), params)
+                       model, plan.targets, poses, q, params)
     return GraspResult(q=q, link_poses=poses, recovered_cloud=recovered, report=report,
                        elapsed=elapsed)
 
@@ -287,4 +295,6 @@ def _register_planned(plan, points: np.ndarray) -> LinkPoseSet:
 
 
 def _solve_planned(model, targets, poses, q, params):
+    if q is None:
+        q = _joint_start(model, poses)
     return _solve(model, targets.index, targets.goal(poses), q, params)

@@ -228,6 +228,16 @@ def test_recover_from_given_q_init(assets):
     assert np.mean(errs) < 1e-3
 
 
+def test_recover_without_q_init_reads_its_start_off_the_poses(assets):
+    out, robot, obj, model, q = _computed_assets(assets)
+    code = run(["--output", out, "recover", out / "dro.dromx", obj,
+                "--model", assets["urdf"], "--robot-cloud", robot])
+    assert code == 0
+    assert json.loads((out / "recover_manifest.json").read_text())["params"]["q_init"] is None
+    result = json.loads((out / "recover_result.json").read_text())
+    assert result["iterations"] == 1 and result["reason"] == "residual"
+
+
 def test_recover_manifest_hashes_result(assets):
     out, robot, obj, _, _ = _computed_assets(assets)
     code = run(["--output", out, "recover", out / "dro.dromx", obj,
@@ -286,6 +296,20 @@ def test_roundtrip_passes_and_is_deterministic(assets, capsys):
     second = json.loads(capsys.readouterr().out)
     for key in ("mean_link_error_m", "max_link_error_m", "mean_joint_error"):
         assert first[key] == second[key]
+
+
+def test_roundtrip_reports_iterations_and_actuated_joint_error(assets, capsys):
+    # the wrist is left out of mean_joint_error: a wrist drawn with |pitch| >
+    # pi/2 comes back as the other rpy triple of the same rotation
+    args = ["--seed", "3", "--output", assets["root"] / "rt5", "roundtrip",
+            "--model", assets["urdf"], "--mesh-dir", assets["mesh_dir"],
+            "--object", assets["object"], "--trials", "6", *SMALL]
+    assert run(args) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["pass"] is True
+    assert summary["iterations"] == {"median": 1.0, "max": 1}
+    assert summary["mean_joint_error"] < 1e-9
+    assert summary == json.loads((assets["root"] / "rt5" / "roundtrip_summary.json").read_text())
 
 
 def test_roundtrip_tolerance_failure_exit_code(assets, capsys):
@@ -452,11 +476,14 @@ def test_explicit_sampling_flag_beats_config_block(assets, capsys):
 
 
 def test_explicit_solver_flag_beats_config_block(assets, capsys):
-    out, robot, obj, _, _ = _computed_assets(assets)
+    out, robot, obj, model, _ = _computed_assets(assets)
     cfg_path = assets["root"] / "solve.json"
     cfg_path.write_text(json.dumps({"solve": {"max_iters": 1}}))
+    # mid-range joints, wrist at zero: a start the solve needs more than one iteration from
+    q_init = 0.5 * (model.lower + model.upper)
     args = ["--config", cfg_path, "--output", out, "recover", out / "dro.dromx", obj,
-            "--model", assets["urdf"], "--robot-cloud", robot]
+            "--model", assets["urdf"], "--robot-cloud", robot,
+            "--q-init", ",".join(repr(float(v)) for v in q_init)]
     assert run(args) == 0
     assert json.loads((out / "recover_result.json").read_text())["iterations"] == 1
     assert run(args + ["--max-iters", "100"]) == 0

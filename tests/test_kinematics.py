@@ -9,8 +9,8 @@ import pytest
 import drokit
 from drokit import (ContractError, KinematicModel, LinkPoseSet, PointCloud, StageError,
                     StructureError, UrdfError, clamp_to_limits, forward_kinematics,
-                    in_limits, link_origin_jacobian, load_model, matrix_from_rpy,
-                    model_summary, recover_grasp, rpy_from_matrix)
+                    in_limits, link_origin_jacobian, link_targets_from_poses, load_model,
+                    matrix_from_rpy, model_summary, recover_grasp, rpy_from_matrix)
 from drokit.kinematics import PRISMATIC, VIRTUAL_PRISMATIC, _fk_arrays, _jacobians
 
 import hands
@@ -473,6 +473,31 @@ def test_pose_set_rejects_arrays_not_matching_its_links(rot, trans):
     LinkPoseSet(("a", "b"), np.eye(3)[None].repeat(2, axis=0), np.zeros((2, 3)))
     with pytest.raises(ContractError, match="2 links"):
         LinkPoseSet(("a", "b"), rot, trans)
+
+
+def test_pose_set_built_from_lists_holds_float_arrays(three_finger):
+    model, _, _ = three_finger
+    fk = forward_kinematics(model, np.random.default_rng(14).uniform(model.lower, model.upper))
+    links = tuple(model.canonical_clouds)
+    rows = [model.links.index(l) for l in links]
+    rot, trans = fk.rotations[rows], fk.translations[rows]
+    arrays = LinkPoseSet(links, rot, trans)
+    assert arrays.rotations is rot and arrays.translations is trans  # float64: no copy
+    lists = LinkPoseSet(links, rot.tolist(), trans.tolist())
+    assert lists.rotations.dtype == lists.translations.dtype == np.float64
+    assert lists.rotations.tobytes() == arrays.rotations.tobytes()
+    a, b = link_targets_from_poses(model, arrays), link_targets_from_poses(model, lists)
+    assert list(a) == list(b)
+    assert all(a[l].tobytes() == b[l].tobytes() for l in a)
+    one = LinkPoseSet(("base",), [np.eye(3).tolist()], [[0.0, 0.0, 0.0]])
+    assert np.array_equal(one.transform("base"), np.eye(4))
+
+
+def test_pose_set_names_a_missing_link():
+    poses = LinkPoseSet(("base",), np.eye(3)[None], np.zeros((1, 3)))
+    for lookup in (poses.rotation, poses.translation, poses.transform):
+        with pytest.raises(ContractError, match="no link 'ghost'"):
+            lookup("ghost")
 
 
 def test_fk_arrays_are_fresh_per_call():

@@ -11,6 +11,7 @@ from drokit import (ContractError, DataError, KinematicModel, LinkPoseSet, Point
 import drokit.optimizer as optimizer_module
 from drokit.cloud import partial_cloud
 from drokit.errors import DegeneracyError
+from drokit.kinematics import _joint_start
 from drokit.optimizer import _bounded_damped_step
 from drokit.rng import substream
 
@@ -460,6 +461,109 @@ def test_fallback_poses_are_register_alls(three_finger):
     assert result.link_poses.fallback_links == {"f1_seg2"}
     _assert_same_poses(result.link_poses, poses)
     assert result.q.tobytes() == q.tobytes()
+
+
+def _registered(model, q):
+    """register_all's pose set of the model's clouds posed exactly at q."""
+    canonical = model.canonical_clouds
+    parents = {link: model.parent_link(link) for link in canonical}
+    return register_all(canonical, cloud_fk(model, q, canonical), parents)
+
+
+def _worst_pose_gap(model, q_a, q_b, links):
+    """Largest rotation-entry or translation difference of ``links`` between
+    two configurations: poses, since one wrist rotation has two rpy triples."""
+    a, b = forward_kinematics(model, q_a), forward_kinematics(model, q_b)
+    return max(max(np.abs(a.rotation(l) - b.rotation(l)).max(),
+                   np.abs(a.translation(l) - b.translation(l)).max()) for l in links)
+
+
+@pytest.mark.parametrize("hand", ["three_finger", "five_finger"])
+def test_start_read_off_registered_poses_is_the_grasp(hand, request):
+    model, _, _ = request.getfixturevalue(hand)
+    links = [l for l in model.links if l in model.canonical_clouds or l in model.tip_links]
+    for trial in range(60):
+        q_true = _random_grasp(model, substream(61, f"{hand}:{trial}"))
+        start = _joint_start(model, _registered(model, q_true))
+        assert in_limits(model, start)
+        assert _worst_pose_gap(model, start, q_true, links) < 1e-12
+
+
+def test_start_read_off_reaches_prismatic_joints_on_random_chains():
+    kinds = set()
+    for seed in range(40):
+        rng = substream(62, f"chain:{seed}")
+        bare = load_model(hands.random_chain_urdf(rng))
+        urdf_links = [l for l in bare.links[5:] if l not in bare.tip_links]
+        kinds |= {bare.parent_joint(l).kind for l in urdf_links[1:]}
+        model = bare.with_clouds({l: rng.normal(0.0, 0.03, size=(6, 3)) for l in urdf_links})
+        for _ in range(5):
+            q_true = rng.uniform(model.lower, model.upper)
+            q_true[:3] = rng.uniform(-0.1, 0.1, 3)
+            start = _joint_start(model, _registered(model, q_true))
+            assert np.abs(start[6:] - q_true[6:]).max() < 1e-12
+            assert _worst_pose_gap(model, start, q_true, model.links[5:]) < 1e-12
+    assert {"revolute", "prismatic", "fixed"} <= kinds
+
+
+@pytest.mark.parametrize("hand", ["three_finger", "five_finger"])
+def test_recover_grasp_without_q_init_stops_at_once(hand, request):
+    model, _, object_cloud = request.getfixturevalue(hand)
+    links = [l for l in model.links if l in model.canonical_clouds or l in model.tip_links]
+    for trial in range(30):
+        q_true = _random_grasp(model, substream(63, f"{hand}:{trial}"))
+        matrix = compute_dro(cloud_fk(model, q_true, model.canonical_clouds), object_cloud)
+        result = recover_grasp(model, matrix, object_cloud)
+        assert result.report.iterations == 1 and result.report.reason == "residual"
+        assert in_limits(model, result.q)
+        assert _worst_pose_gap(model, result.q, q_true, links) < 1e-6
+        assert set(result.elapsed) == {"multilateration", "registration", "optimization"}
+        # the hand-called chain from the read-off start is the same solve
+        q, report, _ = _public_chain(model, matrix, object_cloud,
+                                     _joint_start(model, result.link_poses))
+        assert result.q.tobytes() == q.tobytes() and result.report == report
+
+
+@pytest.mark.parametrize("hand", ["three_finger", "five_finger"])
+def test_recover_grasp_without_q_init_under_distance_noise(hand, request):
+    # sigma = 1e-3 m on every matrix entry; from a zero-wrist start some
+    # grasps settle in a wrong minimum with a link 10 mm or more away
+    model, _, object_cloud = request.getfixturevalue(hand)
+    links = [l for l in model.links if l in model.canonical_clouds or l in model.tip_links]
+    fk = forward_kinematics
+    for trial in range(30):
+        rng = substream(64, f"{hand}:{trial}")
+        q_true = _random_grasp(model, rng)
+        matrix = compute_dro(cloud_fk(model, q_true, model.canonical_clouds), object_cloud)
+        matrix = np.abs(matrix + rng.normal(0.0, 1e-3, size=matrix.shape))
+        q = recover_grasp(model, matrix, object_cloud).q
+        a, b = fk(model, q), fk(model, q_true)
+        assert max(np.linalg.norm(a.translation(l) - b.translation(l)) for l in links) < 1e-2
+
+
+def test_fallback_links_joint_starts_mid_range(three_finger):
+    model, _, object_cloud = three_finger
+    canonical = dict(model.canonical_clouds)
+    m = len(canonical["f1_seg2"])
+    canonical["f1_seg2"] = np.outer(np.linspace(0.0, 0.03, m), [1.0, 0.0, 0.0])
+    model = model.with_clouds(canonical)
+    q_true = _random_grasp(model, substream(12, "trial:0"))
+    poses = _registered(model, q_true)
+    assert poses.fallback_links == {"f1_seg2"}
+    start = _joint_start(model, poses)
+    d = model.dof_index["f1_seg2_joint"]
+    mid = 0.5 * (model.lower + model.upper)
+    assert start[d] == mid[d]
+    others = [i for i in range(6, model.n_dof) if i != d]
+    assert np.abs(start[others] - q_true[others]).max() < 1e-12
+    matrix = compute_dro(cloud_fk(model, q_true, canonical), object_cloud)
+    result = recover_grasp(model, matrix, object_cloud)
+    assert result.link_poses.fallback_links == {"f1_seg2"}
+    assert in_limits(model, result.q)
+    # the fallback tip's target turns with the inherited rotation, so only
+    # the other fingers are held to the grasp
+    intact = [l for l in model.canonical_clouds if not l.startswith("f1_")]
+    assert _worst_pose_gap(model, result.q, q_true, intact) < 1e-6
 
 
 @pytest.mark.parametrize("hand", ["three_finger", "five_finger"])
