@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import statistics
 import sys
@@ -30,7 +29,7 @@ from .cloud import (PointCloud, SamplingConfig, TriangleMesh, cloud_fk,
                     load_obj, sample_link_clouds, sample_object_cloud)
 from .dro import compute_dro
 from .errors import (ContractError, DataError, DegeneracyError, DroError,
-                     FormatError, StageError)
+                     FormatError, StageError, _require_integer, _require_positive)
 from .formats import read_dromx, read_dropc, write_dromx, write_dropc
 from .kinematics import KinematicModel, LinkPoseSet, forward_kinematics, load_model
 from .losses import contrastive_loss, dro_l1_loss, penetration_loss, pose_loss
@@ -160,11 +159,6 @@ def _solve_params(args) -> SolveParams:
     return SolveParams(**_given(args, _SOLVE_FIELDS))
 
 
-def _require_count(flag: str, value: int, least: int) -> None:
-    if value < least:
-        raise ContractError(f"{flag} must be at least {least}, got {value}")
-
-
 def _geometric_links(model: KinematicModel, canonical) -> list[str]:
     return [l for l in model.links if l in canonical or l in model.tip_links]
 
@@ -248,13 +242,7 @@ def cmd_recover(args) -> int:
         raise DataError(f"{robot_path}: robot cloud must be labeled")
     model = model.with_clouds(robot_cloud.by_link())
     object_cloud = read_dropc(object_path)
-    matrix = np.asarray(read_dromx(dro_path), dtype=float)
-
-    if matrix.shape != (len(robot_cloud), len(object_cloud)):
-        raise ContractError(
-            f"matrix shape {matrix.shape} does not match robot cloud "
-            f"({len(robot_cloud)}) x object cloud ({len(object_cloud)})")
-
+    matrix = read_dromx(dro_path)
     q_init = None if args.q_init is None else _parse_q(args.q_init, model.n_dof)
     result = recover_grasp(model, matrix, object_cloud, q_init, _solve_params(args))
 
@@ -313,10 +301,9 @@ def _run_trial(model: KinematicModel, object_cloud: PointCloud, seed: int,
 
 
 def cmd_roundtrip(args) -> int:
-    _require_count("--trials", args.trials, 0)
-    for flag, value in (("--tol-mean", args.tol_mean), ("--tol-max", args.tol_max)):
-        if not 0.0 < value < math.inf:  # NaN fails too
-            raise ContractError(f"{flag} must be positive and finite, got {value}")
+    _require_integer("--trials", args.trials, 0)
+    _require_positive("--tol-mean", args.tol_mean)
+    _require_positive("--tol-max", args.tol_max)
     out = {"trials": args.trials}
     if args.trials > 0:
         model, object_cloud = _prepare_embodiment(args)
@@ -351,8 +338,8 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    _require_count("--runs", args.runs, 1)
-    _require_count("--warmup", args.warmup, 0)
+    _require_integer("--runs", args.runs, 1)
+    _require_integer("--warmup", args.warmup, 0)
     model, object_cloud = _prepare_embodiment(args)
     params = _solve_params(args)
     _, matrix = _trial(model, object_cloud, args.seed, "trial:bench")
@@ -584,7 +571,7 @@ def main(argv=None) -> int:
                                     f"got {env_threads!r}") from None
         elif args.threads is None:
             args.threads = 1
-        _require_count("--threads", args.threads, 1)
+        _require_integer("--threads", args.threads, 1)
         if getattr(args, "kind", None) is not None:
             expected = _EXPECTED_FILES[args.kind]
             if len(args.files) != expected:

@@ -14,7 +14,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .errors import ContractError, DataError
+from .errors import ContractError, DataError, _require_integer
 from .kinematics import KinematicModel, forward_kinematics
 from .rng import substream
 
@@ -109,8 +109,8 @@ class SamplingConfig:
 
     def __post_init__(self):
         for name in ("n_per_link", "n_total", "n_object", "object_pool"):
-            if getattr(self, name) <= 0:
-                raise ContractError(f"{name} must be positive")
+            _require_integer(name, getattr(self, name), 1)
+        _require_integer("seed", self.seed)
         if not 0.0 <= self.object_noise_sigma < math.inf:  # NaN fails too
             raise ContractError("object_noise_sigma must be nonnegative and finite")
 

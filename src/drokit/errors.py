@@ -2,8 +2,12 @@
 
 Callers can rely on the split when mapping failures to CLI exit codes:
 contract/structure problems are validation errors, data/format/degeneracy
-problems are data errors.
+problems are data errors.  The two input rules that several layers share,
+counts and positive values, are written once here.
 """
+
+import math
+from numbers import Integral
 
 
 class DroError(Exception):
@@ -41,3 +45,18 @@ class StageError(DroError):
         super().__init__(f"stage '{stage}': {cause}")
         self.stage = stage
         self.cause = cause
+
+
+def _require_integer(name: str, value, least: int | None = None) -> None:
+    """ContractError naming ``name`` unless ``value`` is a Python or NumPy
+    integer (a bool is not) and, when ``least`` is given, at least that."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ContractError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ContractError(f"{name} must be at least {least}, got {value}")
+
+
+def _require_positive(name: str, value) -> None:
+    """ContractError naming ``name`` unless ``value`` is positive and finite."""
+    if not 0.0 < value < math.inf:  # NaN fails too
+        raise ContractError(f"{name} must be positive and finite, got {value}")

@@ -35,10 +35,17 @@ _DTYPE_NUMPY = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
 
 
 class _Reader:
-    def __init__(self, data: bytes, what: str):
+    """Cursor over a file's bytes that has checked its magic and version."""
+
+    def __init__(self, data: bytes, what: str, magic: bytes):
         self.data = data
         self.off = 0
         self.what = what
+        if self.take(len(magic), "magic") != magic:
+            raise FormatError(f"{what}: bad magic at byte offset 0")
+        version = self.u32("version")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"{what}: unsupported version {version} at byte offset 6")
 
     def take(self, n: int, desc: str) -> memoryview:
         if self.off + n > len(self.data):
@@ -80,13 +87,7 @@ def encode_dropc(cloud: PointCloud) -> bytes:
 
 
 def decode_dropc(data: bytes, what: str = "DROPC") -> PointCloud:
-    r = _Reader(data, what)
-    magic = r.take(len(DROPC_MAGIC), "magic")
-    if magic != DROPC_MAGIC:
-        raise FormatError(f"{what}: bad magic at byte offset 0")
-    version = r.u32("version")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{what}: unsupported version {version} at byte offset 6")
+    r = _Reader(data, what, DROPC_MAGIC)
     n = r.u32("point count")
     has_labels = r.u8("label flag")
     if has_labels not in (0, 1):
@@ -140,13 +141,7 @@ def encode_dromx(matrix: np.ndarray, dtype: str = "f64") -> bytes:
 
 
 def decode_dromx(data: bytes, what: str = "DROMX") -> np.ndarray:
-    r = _Reader(data, what)
-    magic = r.take(len(DROMX_MAGIC), "magic")
-    if magic != DROMX_MAGIC:
-        raise FormatError(f"{what}: bad magic at byte offset 0")
-    version = r.u32("version")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{what}: unsupported version {version} at byte offset 6")
+    r = _Reader(data, what, DROMX_MAGIC)
     rows = r.u32("row count")
     cols = r.u32("column count")
     code = r.u8("dtype code")

@@ -176,8 +176,9 @@ class KinematicModel:
     use ``links``, ``tip_links``, ``dof_index``, ``lower``, ``upper``,
     ``canonical_clouds``, ``recovery_plan``, :meth:`parent_link` and
     :meth:`parent_joint`; the optimizer also uses the module functions
-    ``_fk_arrays``, ``_jacobians``, ``_solve_targets`` and ``_joint_start``,
-    and ``metrics.controller_targets`` uses ``_fk_arrays`` and ``_jacobians``.
+    ``_fk_arrays``, ``_jacobians``, ``_solve_targets``, ``_joint_start`` and
+    ``_start``, and ``metrics.controller_targets`` uses ``_fk_arrays``,
+    ``_jacobians`` and ``_start``.
     ``_fk_arrays`` composes every link's pose as 4x4 transforms and returns
     the rotations and translations as views of one (L, 4, 4) array made by
     that call, which callers must not write to.
@@ -757,6 +758,19 @@ def clamp_to_limits(model: KinematicModel, q) -> np.ndarray:
 def in_limits(model: KinematicModel, q, tol: float = 0.0) -> bool:
     q = as_config(model, q)
     return bool(np.all(q >= model.lower - tol) and np.all(q <= model.upper + tol))
+
+
+def _start(model: KinematicModel, q, name: str) -> np.ndarray:
+    """A checked copy of the configuration ``q`` inside the limits, the rule
+    every solver start and predicted grasp passes; a ContractError names
+    ``name``."""
+    try:
+        q = as_config(model, q).copy()
+    except ContractError as exc:
+        raise ContractError(f"{name}: {exc}") from None
+    if not in_limits(model, q):
+        raise ContractError(f"{name} violates joint limits")
+    return q
 
 
 def model_summary(model: KinematicModel) -> dict:

@@ -7,14 +7,13 @@ deterministic.
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
 
 from .cloud import TriangleMesh
 from .dro import _points_of, compute_dro
-from .errors import ContractError, DataError
+from .errors import ContractError, DataError, _require_positive
 from .rng import substream
 
 _POINT_CHUNK = 128  # bounds the (points x triangles) working arrays
@@ -35,8 +34,7 @@ def contrastive_weights(points_b: np.ndarray, lam: float,
     n = len(pts)
     if n < 1:
         raise ContractError("need at least one point")
-    if not 0.0 < lam < math.inf:  # NaN fails too
-        raise ContractError("lam must be positive and finite")
+    _require_positive("lam", lam)
     if n == 1:
         return np.ones((1, 1))
     w = np.tanh(lam * compute_dro(pts, pts))
@@ -65,8 +63,7 @@ def contrastive_loss(phi_a: np.ndarray, phi_b: np.ndarray, points_b: np.ndarray,
     if a.shape != b.shape or a.ndim != 2:
         raise ContractError(f"feature matrices must share shape (N, D), "
                             f"got {a.shape} and {b.shape}")
-    if not 0.0 < tau < math.inf:
-        raise ContractError("tau must be positive and finite")
+    _require_positive("tau", tau)
     pts = _points_of(points_b)
     if len(pts) != len(a):
         raise ContractError("points_b length does not match feature rows")

@@ -4,14 +4,12 @@ forces, and the JSON-lines grasp record format."""
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DataError
-from .kinematics import (KinematicModel, as_config, clamp_to_limits, in_limits,
-                         _fk_arrays, _jacobians)
+from .errors import ContractError, DataError, _require_positive
+from .kinematics import KinematicModel, clamp_to_limits, _fk_arrays, _jacobians, _start
 
 PROVENANCES = ("dataset", "recovered", "manual")
 
@@ -100,9 +98,7 @@ def controller_targets(model: KinematicModel, q_pred, object_centroid,
     steps ``delta`` that way, the inner target the opposite way.  Wrist
     entries are untouched and both outputs are clamped to limits.
     """
-    q = as_config(model, q_pred)
-    if not in_limits(model, q):
-        raise ContractError("q_pred violates joint limits")
+    q = _start(model, q_pred, "q_pred")
     centroid = np.asarray(object_centroid, dtype=float)
     if centroid.shape != (3,):
         raise ContractError("object centroid must be a 3-vector")
@@ -122,8 +118,7 @@ def controller_targets(model: KinematicModel, q_pred, object_centroid,
 
 def disturbance_forces(object_mass: float) -> np.ndarray:
     """Six axis-aligned test forces of magnitude 0.5 * mass (newtons)."""
-    if not 0.0 < object_mass < math.inf:  # NaN fails too
-        raise ContractError("object_mass must be positive and finite")
+    _require_positive("object_mass", object_mass)
     mag = 0.5 * object_mass
     return mag * np.array([
         [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],

@@ -18,9 +18,9 @@ import numpy as np
 
 from .cloud import PointCloud
 from .dro import recover_cloud
-from .errors import ContractError, DataError, StageError
-from .kinematics import (KinematicModel, LinkPoseSet, as_config, in_limits,
-                         _fk_arrays, _jacobians, _joint_start, _solve_targets)
+from .errors import ContractError, DataError, StageError, _require_integer, _require_positive
+from .kinematics import (KinematicModel, LinkPoseSet, _fk_arrays, _jacobians,
+                         _joint_start, _solve_targets, _start)
 from .registration import _register
 
 _LINESEARCH_SLOPE = 1e-4
@@ -40,12 +40,10 @@ class SolveParams:
 
     def __post_init__(self):
         for name in ("step_bound", "tol_step", "tol_residual"):
-            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
-                raise ContractError(f"{name} must be positive and finite")
+            _require_positive(name, getattr(self, name))
         if not 0.0 <= self.damping < math.inf:
             raise ContractError("damping must be nonnegative and finite")
-        if self.max_iters < 1:
-            raise ContractError("max_iters must be at least 1")
+        _require_integer("max_iters", self.max_iters, 1)
 
 
 @dataclass
@@ -135,9 +133,7 @@ def solve_joints(model: KinematicModel, targets: dict[str, np.ndarray], q_init,
     """
     if not targets:
         raise ContractError("targets are empty")
-    q = as_config(model, q_init).copy()
-    if not in_limits(model, q):
-        raise ContractError("q_init violates joint limits")
+    q = _start(model, q_init, "q_init")
 
     idx = []
     goal = []
@@ -268,11 +264,7 @@ def recover_grasp(model: KinematicModel, dro: np.ndarray, object_cloud,
     plan = model.recovery_plan
     if plan is None:
         raise ContractError("model has no canonical clouds attached")
-    q = None
-    if q_init is not None:
-        q = as_config(model, q_init).copy()
-        if not in_limits(model, q):
-            raise ContractError("q_init violates joint limits")
+    q = None if q_init is None else _start(model, q_init, "q_init")
     dro = np.asarray(dro, dtype=float)
     if dro.ndim != 2 or dro.shape[0] != len(plan.labels):
         raise ContractError(f"distance matrix shape {dro.shape} does not match the "

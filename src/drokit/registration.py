@@ -58,12 +58,8 @@ def register_all(canonical: dict[str, np.ndarray], recovered: PointCloud,
     if not canonical:
         return LinkPoseSet((), np.zeros((0, 3, 3)), np.zeros((0, 3)))
     segments = _cloud_segments(canonical, parents)
-    for link in segments.links:
-        a, b = np.shape(canonical[link]), recovered_by_link[link].shape
-        if a != b:
-            raise ContractError(f"registration for link '{link}': point arrays must "
-                                f"share shape (M, 3), got {a} and {b}")
-    points = np.concatenate([recovered_by_link[link] for link in segments.links])
+    points = np.concatenate([_checked(canonical[link], recovered_by_link[link],
+                                      f" for link '{link}'")[1] for link in segments.links])
     return _register(segments, points)
 
 

@@ -260,6 +260,20 @@ def test_recover_shape_mismatch_fails_fast(assets, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+def test_recover_column_mismatch_exit_validation(assets, capsys):
+    # the rows match the robot cloud, the columns do not match the object cloud
+    out, robot, obj, model, _ = _computed_assets(assets)
+    matrix = read_dromx(out / "dro.dromx")
+    narrow = out / "narrow.dromx"
+    write_dromx(narrow, matrix[:, :-1])
+    code = run(["--output", out, "recover", narrow, obj,
+                "--model", assets["urdf"], "--robot-cloud", robot])
+    assert code == 2
+    n_obj = matrix.shape[1]
+    assert (f"matrix has {n_obj - 1} columns but object cloud has {n_obj} points"
+            in capsys.readouterr().err)
+
+
 def test_recover_coplanar_object_exit_data(assets, capsys):
     out, robot, obj, _, _ = _computed_assets(assets)
     flat = read_dropc(obj)

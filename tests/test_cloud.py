@@ -389,6 +389,20 @@ def test_object_cloud_noiseless_on_surface():
             SamplingConfig(object_noise_sigma=bad)
 
 
+def test_sampling_counts_and_seed_are_integers():
+    # a float count or seed used to be rounded or truncated quietly, and a NaN
+    # count failed inside NumPy; every one now names its field
+    for name in ("n_per_link", "n_total", "n_object", "object_pool"):
+        for bad in (100.5, np.nan, np.inf, 0, -3, True, "7"):
+            with pytest.raises(ContractError, match=name):
+                SamplingConfig(**{name: bad})
+    for bad in (1.5, np.nan, False, None):
+        with pytest.raises(ContractError, match="seed"):
+            SamplingConfig(seed=bad)
+    cfg = SamplingConfig(n_total=np.int64(96), object_pool=np.uint32(600), seed=-3)
+    assert (cfg.n_total, cfg.object_pool, cfg.seed) == (96, 600, -3)
+
+
 def test_object_cloud_noise_scale():
     mesh = icosphere(radius=0.05)
     cfg = SamplingConfig(object_noise_sigma=0.002, seed=6)

@@ -84,6 +84,20 @@ def test_dropc_version_checked():
     assert "version" in str(err.value)
 
 
+@pytest.mark.parametrize("decode, data", [
+    (decode_dropc, encode_dropc(PointCloud(np.zeros((2, 3)), ["a", "b"]))),
+    (decode_dromx, encode_dromx(np.ones((2, 3)))),
+], ids=["dropc", "dromx"])
+def test_header_checked_at_its_offsets(decode, data):
+    # both formats share one magic-and-version check
+    for at, byte, message in ((0, ord("X"), "bad magic at byte offset 0"),
+                              (6, 2, "unsupported version 2 at byte offset 6")):
+        bad = bytearray(data)
+        bad[at] = byte
+        with pytest.raises(FormatError, match=message):
+            decode(bytes(bad))
+
+
 # ---------------------------------------------------------------- DROMX
 
 def test_dromx_round_trip_f64(tmp_path):

@@ -155,6 +155,20 @@ def test_out_of_limits_prediction_rejected():
         controller_targets(model, q, np.zeros(3))
 
 
+@pytest.mark.parametrize("entry, value, message", [
+    (6, np.nan, "q_pred: configuration contains non-finite entries"),
+    (6, 99.0, "q_pred violates joint limits"),
+    (0, np.inf, "q_pred: configuration contains non-finite entries"),
+])
+def test_bad_prediction_rejected_naming_q_pred(entry, value, message):
+    urdf, _ = hands.three_finger_hand()
+    model = load_model(urdf)
+    q = 0.5 * (model.lower + model.upper)
+    q[entry] = value
+    with pytest.raises(ContractError, match=message):
+        controller_targets(model, q, np.zeros(3))
+
+
 def reference_controller_targets(model, q, centroid, delta):
     """Per-joint reference built from forward kinematics and each JointSpec:
     the sign of d/dq of the summed distance from the joint's descendant tips

@@ -280,6 +280,18 @@ def test_register_all_two_point_link_raises_not_falls_back():
         register_all(canonical, recovered, parents)
 
 
+def test_register_all_names_a_link_whose_points_differ_in_shape():
+    # the recovered cloud drops one of f2_seg1's points
+    model, canonical = _hand_setup()
+    recovered = cloud_fk(model, np.zeros(model.n_dof), canonical)
+    keep = np.arange(len(recovered)) != recovered.labels.index("f2_seg1")
+    short = PointCloud(recovered.points[keep], [l for l, k in zip(recovered.labels, keep) if k])
+    n = len(canonical["f2_seg1"])
+    with pytest.raises(ContractError, match=rf"link 'f2_seg1': point arrays must share "
+                                            rf"shape \(M, 3\), got \({n}, 3\) and \({n - 1}, 3\)"):
+        register_all(canonical, short)
+
+
 def test_register_all_label_mismatch():
     model, canonical = _hand_setup()
     recovered = cloud_fk(model, np.zeros(model.n_dof), canonical)
