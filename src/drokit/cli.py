@@ -13,6 +13,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -47,12 +48,6 @@ EXIT_TOLERANCE = 4
 TRIAL_WRIST_RANGE = 0.3
 
 _DATA_ERRORS = (DataError, FormatError, DegeneracyError)
-
-# flags and config blocks that fill SamplingConfig and SolveParams; a field
-# left unset by both keeps its dataclass default
-_SAMPLING_FIELDS = ("n_per_link", "n_total", "n_object", "object_noise_sigma",
-                    "object_pool")
-_SOLVE_FIELDS = ("step_bound", "max_iters", "tol_step", "tol_residual", "damping")
 
 
 class ToleranceFailure(DroError):
@@ -120,19 +115,26 @@ def _load_meshes(model: KinematicModel, mesh_dir) -> dict[str, TriangleMesh]:
     return meshes
 
 
-def _parse_q(text: str, n_dof: int) -> np.ndarray:
+def _robot_clouds(path: Path) -> dict[str, np.ndarray]:
+    """The canonical per-link clouds of a labeled robot DROPC file."""
+    cloud = read_dropc(path)
+    if cloud.labels is None:
+        raise DataError(f"{path}: robot cloud must be labeled")
+    return cloud.by_link()
+
+
+def _parse_q(text: str) -> np.ndarray:
+    """A comma-separated configuration; the solver start or forward
+    kinematics checks its length against the model."""
     try:
-        q = np.array([float(v) for v in text.split(",")], dtype=float)
+        return np.array([float(v) for v in text.split(",")], dtype=float)
     except ValueError as exc:
         raise ContractError(f"could not parse configuration '{text}': {exc}") from exc
-    if len(q) != n_dof:
-        raise ContractError(f"configuration has {len(q)} entries, model needs {n_dof}")
-    return q
 
 
-def _resolve_q(args, model: KinematicModel) -> np.ndarray:
+def _resolve_q(args) -> np.ndarray:
     if args.q is not None:
-        return _parse_q(args.q, model.n_dof)
+        return _parse_q(args.q)
     if args.grasp_file is not None:
         records = read_grasp_records(_require_file(args.grasp_file, "grasp file"))
         if not records:
@@ -140,23 +142,22 @@ def _resolve_q(args, model: KinematicModel) -> np.ndarray:
         idx = args.grasp_index
         if not 0 <= idx < len(records):
             raise ContractError(f"grasp index {idx} out of range (have {len(records)})")
-        q = records[idx].q
-        if len(q) != model.n_dof:
-            raise ContractError(f"grasp has {len(q)} entries, model needs {model.n_dof}")
-        return q
+        return records[idx].q
     raise ContractError("provide --q or --grasp-file")
 
 
-def _given(args, fields) -> dict:
-    return {f: getattr(args, f) for f in fields if getattr(args, f) is not None}
+def _fields(cls) -> dict[str, type]:
+    """The fields of SamplingConfig or SolveParams that flags and config
+    blocks set, with the types of their defaults; the seed comes from
+    --seed."""
+    return {f.name: type(f.default) for f in dataclasses.fields(cls) if f.name != "seed"}
 
 
-def _sampling_config(args, seed: int) -> SamplingConfig:
-    return SamplingConfig(seed=seed, **_given(args, _SAMPLING_FIELDS))
-
-
-def _solve_params(args) -> SolveParams:
-    return SolveParams(**_given(args, _SOLVE_FIELDS))
+def _params(args, cls, **fixed):
+    """``cls`` built from the fields given on the command line or in the
+    config file; the others keep their dataclass defaults."""
+    given = {f: getattr(args, f) for f in _fields(cls) if getattr(args, f) is not None}
+    return cls(**fixed, **given)
 
 
 def _geometric_links(model: KinematicModel, canonical) -> list[str]:
@@ -175,7 +176,7 @@ def _link_errors(model: KinematicModel, links: list[str], q_a, q_b) -> np.ndarra
 def cmd_sample(args) -> int:
     model = _load_model_file(args.model)
     meshes = _load_meshes(model, args.mesh_dir)
-    cfg = _sampling_config(args, args.seed)
+    cfg = _params(args, SamplingConfig, seed=args.seed)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -208,13 +209,11 @@ def cmd_compute_dro(args) -> int:
     robot_path = _require_file(args.robot_cloud, "robot cloud")
     object_path = _require_file(args.object_cloud, "object cloud")
     model = _load_model_file(args.model)
-    robot_cloud = read_dropc(robot_path)
-    if robot_cloud.labels is None:
-        raise DataError(f"{robot_path}: robot cloud must be labeled")
+    canonical = _robot_clouds(robot_path)
     object_cloud = read_dropc(object_path)
-    q = _resolve_q(args, model)
+    q = _resolve_q(args)
 
-    posed = cloud_fk(model, q, robot_cloud.by_link())
+    posed = cloud_fk(model, q, canonical)
     matrix = compute_dro(posed, object_cloud)
 
     out_dir = Path(args.output)
@@ -236,15 +235,12 @@ def cmd_recover(args) -> int:
     dro_path = _require_file(args.dro, "distance matrix")
     object_path = _require_file(args.object_cloud, "object cloud")
     robot_path = _require_file(args.robot_cloud, "robot cloud")
-    model = _load_model_file(args.model)
-    robot_cloud = read_dropc(robot_path)
-    if robot_cloud.labels is None:
-        raise DataError(f"{robot_path}: robot cloud must be labeled")
-    model = model.with_clouds(robot_cloud.by_link())
+    model = _load_model_file(args.model).with_clouds(_robot_clouds(robot_path))
     object_cloud = read_dropc(object_path)
     matrix = read_dromx(dro_path)
-    q_init = None if args.q_init is None else _parse_q(args.q_init, model.n_dof)
-    result = recover_grasp(model, matrix, object_cloud, q_init, _solve_params(args))
+    q_init = None if args.q_init is None else _parse_q(args.q_init)
+    result = recover_grasp(model, matrix, object_cloud, q_init,
+                           _params(args, SolveParams))
 
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -269,7 +265,7 @@ def _prepare_embodiment(args):
     model = _load_model_file(args.model)
     meshes = _load_meshes(model, args.mesh_dir)
     obj_file = _require_file(args.object, "object mesh")
-    cfg = _sampling_config(args, args.seed)
+    cfg = _params(args, SamplingConfig, seed=args.seed)
     canonical = sample_link_clouds(model, meshes, cfg)
     model = model.with_clouds(canonical)
     object_cloud = sample_object_cloud(load_obj(obj_file.read_text()), cfg)
@@ -307,7 +303,7 @@ def cmd_roundtrip(args) -> int:
     out = {"trials": args.trials}
     if args.trials > 0:
         model, object_cloud = _prepare_embodiment(args)
-        params = _solve_params(args)
+        params = _params(args, SolveParams)
 
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
             results = list(pool.map(
@@ -341,7 +337,7 @@ def cmd_bench(args) -> int:
     _require_integer("--runs", args.runs, 1)
     _require_integer("--warmup", args.warmup, 0)
     model, object_cloud = _prepare_embodiment(args)
-    params = _solve_params(args)
+    params = _params(args, SolveParams)
     _, matrix = _trial(model, object_cloud, args.seed, "trial:bench")
 
     samples: dict[str, list[float]] = {}
@@ -364,6 +360,9 @@ def cmd_bench(args) -> int:
 
 def cmd_losses(args) -> int:
     kind = args.kind
+    expected = _EXPECTED_FILES[kind]
+    if len(args.files) != expected:
+        raise ContractError(f"losses {kind} takes {expected} files, got {len(args.files)}")
     if kind == "dro-l1":
         pred = read_dromx(_require_file(args.files[0], "prediction matrix"))
         gt = read_dromx(_require_file(args.files[1], "ground-truth matrix"))
@@ -407,20 +406,14 @@ def cmd_losses(args) -> int:
 _EXPECTED_FILES = {"dro-l1": 2, "contrastive": 3, "pose": 2, "penetration": 2}
 
 
-def _add_sampling_flags(p):
-    p.add_argument("--n-per-link", type=int)
-    p.add_argument("--n-total", type=int)
-    p.add_argument("--n-object", type=int)
-    p.add_argument("--noise-sigma", type=float, dest="object_noise_sigma")
-    p.add_argument("--object-pool", type=int)
-
-
-def _add_solver_flags(p):
-    p.add_argument("--step-bound", type=float)
-    p.add_argument("--max-iters", type=int)
-    p.add_argument("--tol-step", type=float)
-    p.add_argument("--tol-residual", type=float)
-    p.add_argument("--damping", type=float)
+def _add_field_flags(p, *classes):
+    """One flag per field of each class, named after it, except --noise-sigma
+    for object_noise_sigma."""
+    for cls in classes:
+        for name, kind in _fields(cls).items():
+            flag = ("--noise-sigma" if name == "object_noise_sigma"
+                    else "--" + name.replace("_", "-"))
+            p.add_argument(flag, type=kind, dest=name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None, help="URDF file")
     p.add_argument("--mesh-dir", default=None, help="directory of <link>.obj meshes")
     p.add_argument("--object", default=None, help="object OBJ file")
-    _add_sampling_flags(p)
+    _add_field_flags(p, SamplingConfig)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("compute-dro", help="ground-truth distance matrix at a grasp")
@@ -465,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "the registered link poses)")
     p.add_argument("--emit-cloud", action="store_true",
                    help="also write the recovered labeled cloud")
-    _add_solver_flags(p)
+    _add_field_flags(p, SolveParams)
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("roundtrip", help="random grasps -> matrices -> recovery check")
@@ -475,8 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--tol-mean", type=float, default=1e-3)
     p.add_argument("--tol-max", type=float, default=5e-3)
-    _add_sampling_flags(p)
-    _add_solver_flags(p)
+    _add_field_flags(p, SamplingConfig, SolveParams)
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("bench", help="stage timing of the recovery pipeline")
@@ -485,8 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--object", default=None)
     p.add_argument("--runs", type=int, default=20)
     p.add_argument("--warmup", type=int, default=3)
-    _add_sampling_flags(p)
-    _add_solver_flags(p)
+    _add_field_flags(p, SamplingConfig, SolveParams)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("losses", help="batch loss evaluation over files")
@@ -532,15 +523,13 @@ def _apply_config(args) -> None:
             value = _config_value(key, cfg[key], kind)
             if getattr(args, attr, None) is None:
                 setattr(args, attr, value)
-    # the dataclass defaults give each field its type
-    for section, defaults, keys in (("sampling", SamplingConfig, _SAMPLING_FIELDS),
-                                    ("solve", SolveParams, _SOLVE_FIELDS)):
+    for section, cls in (("sampling", SamplingConfig), ("solve", SolveParams)):
+        fields = _fields(cls)
         block = _config_value(section, cfg.get(section, {}), dict)
         for key, value in block.items():
-            if key not in keys:
+            if key not in fields:
                 raise ContractError(f"config {section}.{key} is not a known field")
-            value = _config_value(f"{section}.{key}", value,
-                                  type(getattr(defaults, key)))
+            value = _config_value(f"{section}.{key}", value, fields[key])
             if hasattr(args, key) and getattr(args, key) is None:
                 setattr(args, key, value)
 
@@ -572,11 +561,6 @@ def main(argv=None) -> int:
         elif args.threads is None:
             args.threads = 1
         _require_integer("--threads", args.threads, 1)
-        if getattr(args, "kind", None) is not None:
-            expected = _EXPECTED_FILES[args.kind]
-            if len(args.files) != expected:
-                raise ContractError(f"losses {args.kind} takes {expected} files, "
-                                    f"got {len(args.files)}")
         return args.func(args)
     except (DroError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .errors import ContractError, DataError, _require_integer
+from .errors import ContractError, DataError, _require_integer, _require_nonnegative
 from .kinematics import KinematicModel, forward_kinematics
 from .rng import substream
 
@@ -111,8 +111,7 @@ class SamplingConfig:
         for name in ("n_per_link", "n_total", "n_object", "object_pool"):
             _require_integer(name, getattr(self, name), 1)
         _require_integer("seed", self.seed)
-        if not 0.0 <= self.object_noise_sigma < math.inf:  # NaN fails too
-            raise ContractError("object_noise_sigma must be nonnegative and finite")
+        _require_nonnegative("object_noise_sigma", self.object_noise_sigma)
 
 
 def load_obj(text: str) -> TriangleMesh:
@@ -252,7 +251,9 @@ def farthest_point_sampling(points: np.ndarray, k: int, seed: int) -> list[int]:
     uniformly from the seeded ``fps`` stream."""
     points = np.asarray(points, dtype=float)
     n = len(points)
-    if not 1 <= k <= n:
+    _require_integer("k", k, 1)
+    _require_integer("seed", seed)
+    if k > n:
         raise ContractError(f"k={k} out of range [1, {n}]")
     start = int(substream(seed, "fps").integers(n))
     return _greedy_fps(points, k, [start])
@@ -359,6 +360,7 @@ def partial_cloud(points: np.ndarray, seed: int) -> np.ndarray:
     n = len(points)
     if n % 2 != 0:
         raise ContractError("partial_cloud needs an even point count")
+    _require_integer("seed", seed)
     rng = substream(seed, "partial")
     v = rng.normal(size=3)
     norm = np.linalg.norm(v)

@@ -2,8 +2,8 @@
 
 Callers can rely on the split when mapping failures to CLI exit codes:
 contract/structure problems are validation errors, data/format/degeneracy
-problems are data errors.  The two input rules that several layers share,
-counts and positive values, are written once here.
+problems are data errors.  The input rules that several layers share,
+counts, positive values and nonnegative values, are written once here.
 """
 
 import math
@@ -60,3 +60,9 @@ def _require_positive(name: str, value) -> None:
     """ContractError naming ``name`` unless ``value`` is positive and finite."""
     if not 0.0 < value < math.inf:  # NaN fails too
         raise ContractError(f"{name} must be positive and finite, got {value}")
+
+
+def _require_nonnegative(name: str, value) -> None:
+    """ContractError naming ``name`` unless ``value`` is nonnegative and finite."""
+    if not 0.0 <= value < math.inf:  # NaN fails too
+        raise ContractError(f"{name} must be nonnegative and finite, got {value}")

@@ -768,7 +768,7 @@ def _start(model: KinematicModel, q, name: str) -> np.ndarray:
         q = as_config(model, q).copy()
     except ContractError as exc:
         raise ContractError(f"{name}: {exc}") from None
-    if not in_limits(model, q):
+    if np.any(q < model.lower) or np.any(q > model.upper):
         raise ContractError(f"{name} violates joint limits")
     return q
 

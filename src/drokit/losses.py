@@ -148,28 +148,26 @@ def _solid_angles(points: np.ndarray, corners: np.ndarray) -> np.ndarray:
     return 2.0 * np.arctan2(det, denom)
 
 
-def winding_numbers(points, mesh: TriangleMesh) -> np.ndarray:
-    """Generalized winding number of each point: ~1 inside, ~0 outside."""
+def _per_point(points, mesh: TriangleMesh, kernel) -> np.ndarray:
+    """``kernel(chunk, corners)``, one value per point, over chunks of the
+    points so the (points x triangles) arrays stay bounded."""
     pts = _points_of(points)
     corners = mesh.corners()
     out = np.empty(len(pts))
     for i in range(0, len(pts), _POINT_CHUNK):
-        chunk = pts[i:i + _POINT_CHUNK]
-        out[i:i + _POINT_CHUNK] = _solid_angles(chunk, corners).sum(axis=1) / (4.0 * np.pi)
+        out[i:i + _POINT_CHUNK] = kernel(pts[i:i + _POINT_CHUNK], corners)
     return out
+
+
+def winding_numbers(points, mesh: TriangleMesh) -> np.ndarray:
+    """Generalized winding number of each point: ~1 inside, ~0 outside."""
+    return _per_point(points, mesh, lambda p, c: _solid_angles(p, c).sum(axis=1) / (4.0 * np.pi))
 
 
 def signed_distances(points, mesh: TriangleMesh) -> np.ndarray:
     """Distance to the mesh surface, negative inside (winding number > 1/2)."""
-    pts = _points_of(points)
-    corners = mesh.corners()
-    dist = np.empty(len(pts))
-    for i in range(0, len(pts), _POINT_CHUNK):
-        chunk = pts[i:i + _POINT_CHUNK]
-        d = _closest_point_distances(chunk, corners).min(axis=1)
-        inside = _solid_angles(chunk, corners).sum(axis=1) / (4.0 * np.pi) > 0.5
-        dist[i:i + _POINT_CHUNK] = np.where(inside, -d, d)
-    return dist
+    dist = _per_point(points, mesh, lambda p, c: _closest_point_distances(p, c).min(axis=1))
+    return np.where(winding_numbers(points, mesh) > 0.5, -dist, dist)
 
 
 def check_watertight(mesh: TriangleMesh) -> None:

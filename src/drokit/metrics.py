@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DataError, _require_positive
+from .errors import ContractError, DataError, _require_nonnegative, _require_positive
 from .kinematics import KinematicModel, clamp_to_limits, _fk_arrays, _jacobians, _start
 
 PROVENANCES = ("dataset", "recovered", "manual")
@@ -102,8 +102,7 @@ def controller_targets(model: KinematicModel, q_pred, object_centroid,
     centroid = np.asarray(object_centroid, dtype=float)
     if centroid.shape != (3,):
         raise ContractError("object centroid must be a 3-vector")
-    if delta < 0.0:
-        raise ContractError("delta must be nonnegative")
+    _require_nonnegative("delta", delta)
 
     rot, trans = _fk_arrays(model, q)
     tip_idx = np.array([model.links.index(t) for t in model.tip_links])

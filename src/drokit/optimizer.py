@@ -10,7 +10,6 @@ monotone.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -18,7 +17,8 @@ import numpy as np
 
 from .cloud import PointCloud
 from .dro import recover_cloud
-from .errors import ContractError, DataError, StageError, _require_integer, _require_positive
+from .errors import (ContractError, DataError, StageError, _require_integer,
+                     _require_nonnegative, _require_positive)
 from .kinematics import (KinematicModel, LinkPoseSet, _fk_arrays, _jacobians,
                          _joint_start, _solve_targets, _start)
 from .registration import _register
@@ -41,8 +41,7 @@ class SolveParams:
     def __post_init__(self):
         for name in ("step_bound", "tol_step", "tol_residual"):
             _require_positive(name, getattr(self, name))
-        if not 0.0 <= self.damping < math.inf:
-            raise ContractError("damping must be nonnegative and finite")
+        _require_nonnegative("damping", self.damping)
         _require_integer("max_iters", self.max_iters, 1)
 
 

@@ -33,12 +33,11 @@ def register_link(canonical_points: np.ndarray, predicted_points: np.ndarray,
     Requires at least 3 non-collinear correspondences; index i must name the
     same material point in both arrays.
     """
-    tag = f" for link '{name}'" if name else ""
-    a, b = _checked(canonical_points, predicted_points, tag)
-    poses = _register(_cloud_segments({name: a}, None), b)
+    segments = _cloud_segments({name: canonical_points}, None)
+    poses = _register(segments, _checked(segments, 0, predicted_points))
     if poses.fallback_links:
-        raise DegeneracyError(f"registration{tag}: points are collinear or coincident "
-                              "(rank-deficient cross-covariance)")
+        raise DegeneracyError(f"registration{_tag(name)}: points are collinear or "
+                              "coincident (rank-deficient cross-covariance)")
     return poses.rotations[0], poses.translations[0]
 
 
@@ -58,20 +57,24 @@ def register_all(canonical: dict[str, np.ndarray], recovered: PointCloud,
     if not canonical:
         return LinkPoseSet((), np.zeros((0, 3, 3)), np.zeros((0, 3)))
     segments = _cloud_segments(canonical, parents)
-    points = np.concatenate([_checked(canonical[link], recovered_by_link[link],
-                                      f" for link '{link}'")[1] for link in segments.links])
+    points = np.concatenate([_checked(segments, i, recovered_by_link[link])
+                             for i, link in enumerate(segments.links)])
     return _register(segments, points)
 
 
-def _checked(canonical_points, predicted_points, tag: str) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(canonical_points, dtype=float)
+def _tag(link) -> str:
+    return f" for link '{link}'" if link else ""
+
+
+def _checked(segments: _CloudSegments, i: int, predicted_points) -> np.ndarray:
+    """The predicted points of ``segments``' link ``i`` as floats; they must
+    have its canonical points' shape."""
     b = np.asarray(predicted_points, dtype=float)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[1] != 3:
-        raise ContractError(f"registration{tag}: point arrays must share shape (M, 3), "
-                            f"got {a.shape} and {b.shape}")
-    if len(a) < 3:
-        raise ContractError(f"registration{tag}: need at least 3 points, got {len(a)}")
-    return a, b
+    shape = (int(segments.counts[i]), 3)
+    if b.shape != shape:
+        raise ContractError(f"registration{_tag(segments.links[i])}: point arrays must "
+                            f"share shape (M, 3), got {shape} and {b.shape}")
+    return b
 
 
 @dataclass(frozen=True)
@@ -106,10 +109,10 @@ def _cloud_segments(canonical: dict, parents: dict | None) -> _CloudSegments:
     for link in links:
         a = np.asarray(canonical[link], dtype=float)
         if a.ndim != 2 or a.shape[1] != 3:
-            raise ContractError(f"registration for link '{link}': canonical points must "
-                                f"have shape (M, 3), got {a.shape}")
+            raise ContractError(f"registration{_tag(link)}: "
+                                f"canonical points must have shape (M, 3), got {a.shape}")
         if len(a) < 3:
-            raise ContractError(f"registration for link '{link}': need at least 3 points, "
+            raise ContractError(f"registration{_tag(link)}: need at least 3 points, "
                                 f"got {len(a)}")
         blocks.append(a)
     counts = np.array([len(a) for a in blocks])

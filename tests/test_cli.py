@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import re
@@ -5,9 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from drokit import (cloud_fk, forward_kinematics, load_model, read_dromx, read_dropc,
-                    write_dromx, write_dropc)
-from drokit.cli import main
+from drokit import (PointCloud, cloud_fk, forward_kinematics, load_model, read_dromx,
+                    read_dropc, write_dromx, write_dropc)
+from drokit.cli import build_parser, main
 
 import hands
 from geometry import box_mesh, icosphere
@@ -108,6 +109,19 @@ def test_sample_duplicate_joint_name_exit_validation(assets, capsys):
     assert f"joint name '{first}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mesh_dir, code, message", [
+    (None, 2, "mesh directory not specified"),
+    ("ghost", 2, "mesh directory not found"),
+    ("empty", 3, "no link meshes found in"),
+], ids=["unset", "missing", "empty"])
+def test_sample_mesh_dir_missing_or_empty(assets, capsys, mesh_dir, code, message):
+    (assets["root"] / "empty").mkdir()
+    flags = [] if mesh_dir is None else ["--mesh-dir", assets["root"] / mesh_dir]
+    assert run(["--output", assets["root"] / "o", "sample", "--model", assets["urdf"],
+                *flags]) == code
+    assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- compute-dro
 
 def test_compute_dro_matches_naive_recompute(assets):
@@ -174,6 +188,45 @@ def test_malformed_grasp_file_exit_data(assets, capsys):
                 "--model", assets["urdf"], "--grasp-file", grasps])
     assert code == 3
     assert f"{grasps} line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, code, message", [
+    (["--q", "0,x"], 2, "could not parse configuration '0,x'"),
+    (["--q", "0,0"], 2, "configuration has shape (2,)"),
+    ([], 2, "provide --q or --grasp-file"),
+    (["--grasp-file", "empty.jsonl"], 3, "no grasp records in"),
+    (["--grasp-file", "one.jsonl", "--grasp-index", "1"], 2,
+     "grasp index 1 out of range (have 1)"),
+    (["--grasp-file", "one.jsonl", "--grasp-index", "-1"], 2, "grasp index -1 out of range"),
+    (["--grasp-file", "short.jsonl"], 2, "configuration has shape (3,)"),
+], ids=["q-unparsable", "q-short", "no-configuration", "grasp-file-empty",
+        "grasp-index-past-end", "grasp-index-negative", "grasp-short"])
+def test_compute_dro_bad_configuration_exit_code(assets, capsys, flags, code, message):
+    out = assets["root"] / "out"
+    robot, obj = sample_into(assets, out)
+    (assets["root"] / "empty.jsonl").write_text("")
+    for name, n in (("one.jsonl", 15), ("short.jsonl", 3)):
+        (assets["root"] / name).write_text(json.dumps(
+            {"robot": "h", "object": "o", "q": [0.0] * n}) + "\n")
+    flags = [assets["root"] / f if f.endswith(".jsonl") else f for f in flags]
+    assert run(["--output", out, "compute-dro", robot, obj, "--model", assets["urdf"],
+                *flags]) == code
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["compute-dro", "recover"])
+def test_unlabeled_robot_cloud_exit_data(assets, capsys, command):
+    out = assets["root"] / "out"
+    robot, obj = sample_into(assets, out)
+    unlabeled = out / "unlabeled.dropc"
+    write_dropc(unlabeled, PointCloud(read_dropc(robot).points))
+    if command == "compute-dro":
+        args = ["compute-dro", unlabeled, obj, "--q", "0"]
+    else:
+        write_dromx(out / "m.dromx", np.ones((3, 3)))
+        args = ["recover", out / "m.dromx", obj, "--robot-cloud", unlabeled]
+    assert run(["--output", out, *args, "--model", assets["urdf"]]) == 3
+    assert f"{unlabeled}: robot cloud must be labeled" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- recover
@@ -272,6 +325,14 @@ def test_recover_column_mismatch_exit_validation(assets, capsys):
     n_obj = matrix.shape[1]
     assert (f"matrix has {n_obj - 1} columns but object cloud has {n_obj} points"
             in capsys.readouterr().err)
+
+
+def test_recover_q_init_of_wrong_length_exit_validation(assets, capsys):
+    out, robot, obj, model, _ = _computed_assets(assets)
+    code = run(["--output", out, "recover", out / "dro.dromx", obj,
+                "--model", assets["urdf"], "--robot-cloud", robot, "--q-init", "0,0,0"])
+    assert code == 2
+    assert "q_init: configuration has shape (3,)" in capsys.readouterr().err
 
 
 def test_recover_coplanar_object_exit_data(assets, capsys):
@@ -444,6 +505,14 @@ def test_losses_pose_malformed_file_exit_data(tmp_path, capsys, doc):
     assert "not a valid pose file" in capsys.readouterr().err
 
 
+def test_losses_pose_files_sharing_no_link_exit_data(tmp_path, capsys):
+    pp, pg = tmp_path / "p.json", tmp_path / "g.json"
+    for path, link in ((pp, "a"), (pg, "b")):
+        path.write_text(json.dumps({link: {"R": list(np.eye(3).ravel()), "x": [0.0] * 3}}))
+    assert run(["losses", "pose", pp, pg]) == 3
+    assert "pose files share no links" in capsys.readouterr().err
+
+
 def test_losses_wrong_file_count(tmp_path, capsys):
     assert run(["losses", "dro-l1", tmp_path / "x"]) == 2
 
@@ -563,3 +632,78 @@ def test_bad_count_or_parameter_exit_validation(assets, capsys, command, name):
                 *command[1:], *SMALL])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {name} must be")
+
+
+def test_config_not_json_rejected(assets, capsys):
+    cfg_path = assets["root"] / "broken.json"
+    cfg_path.write_text('{"seed": 1,')
+    code = run(["--config", cfg_path, "sample", "--model", assets["urdf"],
+                "--mesh-dir", assets["mesh_dir"]])
+    assert code == 2
+    assert f"config {cfg_path} is not valid JSON" in capsys.readouterr().err
+
+
+def test_config_int_for_float_field_read_as_float(assets, capsys):
+    cfg_path = assets["root"] / "ints.json"
+    cfg_path.write_text(json.dumps({"sampling": {"object_noise_sigma": 0}}))
+    out = assets["root"] / "i_out"
+    code = run(["--config", cfg_path, "--output", out, "sample", "--model", assets["urdf"],
+                "--mesh-dir", assets["mesh_dir"], "--object", assets["object"], *SMALL])
+    assert code == 0
+    sigma = json.loads((out / "sample_manifest.json").read_text())["params"]["sampling"][
+        "object_noise_sigma"]
+    assert sigma == 0.0 and isinstance(sigma, float)
+
+
+# every subcommand's flags: option strings (None for a positional), dest,
+# type and default; the sampling and solver flags are the fields of
+# SamplingConfig (but its seed) and SolveParams
+SAMPLING_FLAGS = [("--n-per-link", "n_per_link", int, None),
+                  ("--n-total", "n_total", int, None),
+                  ("--n-object", "n_object", int, None),
+                  ("--noise-sigma", "object_noise_sigma", float, None),
+                  ("--object-pool", "object_pool", int, None)]
+SOLVER_FLAGS = [("--step-bound", "step_bound", float, None),
+                ("--max-iters", "max_iters", int, None),
+                ("--tol-step", "tol_step", float, None),
+                ("--tol-residual", "tol_residual", float, None),
+                ("--damping", "damping", float, None)]
+EMBODIMENT_FLAGS = [("--model", "model", None, None), ("--mesh-dir", "mesh_dir", None, None),
+                    ("--object", "object", None, None)]
+PARSER_TABLE = {
+    None: [("--seed", "seed", int, None), ("--config", "config", str, None),
+           ("--output", "output", str, None), ("--threads", "threads", int, None)],
+    "sample": [*EMBODIMENT_FLAGS, *SAMPLING_FLAGS],
+    "compute-dro": [(None, "robot_cloud", None, None), (None, "object_cloud", None, None),
+                    ("--model", "model", None, None), ("--q", "q", None, None),
+                    ("--grasp-file", "grasp_file", None, None),
+                    ("--grasp-index", "grasp_index", int, 0),
+                    ("--dtype", "dtype", None, "f64"), ("--out", "out", None, "dro.dromx")],
+    "recover": [(None, "dro", None, None), (None, "object_cloud", None, None),
+                ("--model", "model", None, None), ("--robot-cloud", "robot_cloud", None, None),
+                ("--q-init", "q_init", None, None), ("--emit-cloud", "emit_cloud", None, False),
+                *SOLVER_FLAGS],
+    "roundtrip": [*EMBODIMENT_FLAGS, ("--trials", "trials", int, 50),
+                  ("--tol-mean", "tol_mean", float, 1e-3), ("--tol-max", "tol_max", float, 5e-3),
+                  *SAMPLING_FLAGS, *SOLVER_FLAGS],
+    "bench": [*EMBODIMENT_FLAGS, ("--runs", "runs", int, 20), ("--warmup", "warmup", int, 3),
+              *SAMPLING_FLAGS, *SOLVER_FLAGS],
+    "losses": [(None, "kind", None, None), (None, "files", None, None),
+               ("--tau", "tau", float, 0.1), ("--lam", "lam", float, 10.0)],
+}
+
+
+def _flag_rows(parser):
+    return [(a.option_strings[0] if a.option_strings else None, a.dest, a.type, a.default)
+            for a in parser._actions
+            if not isinstance(a, (argparse._HelpAction, argparse._SubParsersAction))]
+
+
+def test_parser_flags_pinned():
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    assert _flag_rows(parser) == PARSER_TABLE[None]
+    assert sorted(subcommands) == sorted(k for k in PARSER_TABLE if k is not None)
+    for name, sub in subcommands.items():
+        assert _flag_rows(sub) == PARSER_TABLE[name], name

@@ -7,7 +7,7 @@ from drokit import (ContractError, DataError, PointCloud, SamplingConfig,
                     cloud_fk, farthest_point_sampling, forward_kinematics,
                     load_model, load_obj, partial_cloud, sample_link_clouds,
                     sample_mesh_surface, sample_object_cloud, save_obj,
-                    signed_distances)
+                    signed_distances, TriangleMesh)
 from drokit.cloud import MIN_POINTS_PER_LINK
 from drokit.rng import substream
 
@@ -115,6 +115,21 @@ def test_by_link_groups_points():
     assert np.array_equal(groups["a"], pts[:2])
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: PointCloud(np.zeros((4, 2))), r"points must be \(N, 3\), got \(4, 2\)"),
+    (lambda: PointCloud(np.zeros(3)), r"points must be \(N, 3\), got \(3,\)"),
+    (lambda: PointCloud(np.zeros((2, 3))).segments(), "cloud has no labels"),
+    (lambda: TriangleMesh(np.zeros((3, 2)), [[0, 1, 2]]), r"vertices must be \(V, 3\)"),
+    (lambda: TriangleMesh(np.zeros((3, 3)), [0, 1, 2]), r"triangles must be \(T, 3\)"),
+    (lambda: TriangleMesh(np.zeros((3, 3)), [[0, 1, 3]]), "triangle indices out of vertex range"),
+    (lambda: TriangleMesh(np.zeros((3, 3)), [[0, 1, -1]]), "triangle indices out of vertex range"),
+], ids=["points-2-columns", "points-1d", "no-labels", "vertices-2-columns", "triangles-1d",
+        "index-past-end", "index-negative"])
+def test_cloud_and_mesh_shapes_checked(make, message):
+    with pytest.raises(ContractError, match=message):
+        make()
+
+
 # ---------------------------------------------------------------- OBJ
 
 def test_obj_round_trip(tmp_path):
@@ -145,9 +160,21 @@ def test_obj_rejects_quads():
     # malformed numbers are data errors naming their line, not bare ValueErrors
     head = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
     for bad in ("v a b c", "f 1 2 x", "f 1 2 1.5", "f 1 2 /3", "f 1 2 9",
-                "v nan 0 0", "v 0 inf 0"):
+                "v nan 0 0", "v 0 inf 0", "v 0 0", "f 0 1 2", "f -1 1 2"):
         with pytest.raises(DataError, match="OBJ line 4"):
             load_obj(head + bad + "\n")
+
+
+@pytest.mark.parametrize("text", ["", "# faces only\nf 1 2 3\n"], ids=["empty", "faces-only"])
+def test_obj_without_vertices_rejected(text):
+    with pytest.raises(DataError, match="OBJ has no vertices"):
+        load_obj(text)
+
+
+def test_zero_area_mesh_rejected():
+    flat = TriangleMesh(np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]]), [[0, 1, 2]])
+    with pytest.raises(DataError, match="zero total surface area"):
+        sample_mesh_surface(flat, 8, substream(0, "test"))
 
 
 # ---------------------------------------------------------------- FPS
@@ -232,6 +259,15 @@ def test_fps_k_out_of_range():
         farthest_point_sampling(pts, 0, seed=0)
     with pytest.raises(ContractError):
         farthest_point_sampling(pts, 5, seed=0)
+    # a float or bool k or seed used to be truncated quietly
+    for bad in (2.5, True, np.nan):
+        with pytest.raises(ContractError, match="k must be"):
+            farthest_point_sampling(pts, bad, seed=0)
+    for bad in (1.5, np.nan, None):
+        with pytest.raises(ContractError, match="seed must be"):
+            farthest_point_sampling(pts, 2, seed=bad)
+    assert farthest_point_sampling(pts, np.int64(2), seed=-3) == \
+        farthest_point_sampling(pts, 2, seed=-3)
 
 
 # ---------------------------------------------------------------- link clouds
@@ -309,6 +345,20 @@ def test_surface_sampling_is_area_weighted():
     assert 20 < near_small < 240
 
 
+@pytest.mark.parametrize("meshes, cfg, error, message", [
+    (lambda m: {}, SamplingConfig(), DataError, "no link has a mesh"),
+    (lambda m: {**m, "ghost": box_mesh(0.02, 0.02, 0.02)}, SamplingConfig(), ContractError,
+     r"meshes given for unknown links: \['ghost'\]"),
+    (lambda m: m, SamplingConfig(n_per_link=16, n_total=8), ContractError,
+     "n_total=8 cannot reserve 4 points for each of"),
+], ids=["no-mesh", "unknown-link", "n-total-too-small"])
+def test_sample_link_clouds_rejects_bad_meshes_or_counts(meshes, cfg, error, message):
+    urdf, hand_meshes = hands.three_finger_hand()
+    model = load_model(urdf)
+    with pytest.raises(error, match=message):
+        sample_link_clouds(model, meshes(hand_meshes), cfg)
+
+
 # ---------------------------------------------------------------- cloud_fk
 
 def test_cloud_fk_zero_configuration():
@@ -373,6 +423,12 @@ def test_cloud_fk_unknown_link():
     model = load_model(hands.single_link_urdf())
     with pytest.raises(ContractError):
         cloud_fk(model, np.zeros(model.n_dof), {"ghost": np.zeros((3, 3))})
+
+
+def test_cloud_fk_empty_clouds_rejected():
+    model = load_model(hands.single_link_urdf())
+    with pytest.raises(ContractError, match="canonical clouds are empty"):
+        cloud_fk(model, np.zeros(model.n_dof), {})
 
 
 # ---------------------------------------------------------------- object cloud
@@ -501,3 +557,7 @@ def test_partial_cloud_deterministic_and_even_only():
     assert np.array_equal(partial_cloud(pts, 7), partial_cloud(pts, 7))
     with pytest.raises(ContractError):
         partial_cloud(pts[:31], 7)
+    # 1.5 used to act as seed 1, and NaN failed with a bare ValueError
+    for bad in (1.5, np.nan, True):
+        with pytest.raises(ContractError, match="seed must be"):
+            partial_cloud(pts, bad)

@@ -413,6 +413,17 @@ def test_recover_cloud_refines_until_converged():
         assert np.abs(rec.points - direct_gauss_newton(noisy, obj, steps=30)).max() < 1e-9
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: compute_dro(np.zeros((4, 2)), np.zeros((5, 3))), r"expected \(N, 3\) points"),
+    (lambda: compute_dro(np.zeros((4, 3)), np.zeros(3)), r"expected \(N, 3\) points"),
+    (lambda: recover_cloud(np.ones((2, 5)), np.zeros((5, 4))), r"expected \(N, 3\) points"),
+    (lambda: recover_cloud(np.ones(5), np.zeros((5, 3))), "distance matrix must be 2-D"),
+], ids=["compute-robot", "compute-object", "recover-object", "recover-1d-matrix"])
+def test_bad_point_or_matrix_shape_rejected(call, message):
+    with pytest.raises(ContractError, match=message):
+        call()
+
+
 # ---------------------------------------------------------------- moment kernel
 
 def test_validation_reports_non_finite_before_negative():

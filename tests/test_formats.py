@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from drokit import FormatError, PointCloud, read_dromx, read_dropc, write_dromx, write_dropc
+from drokit import (ContractError, FormatError, PointCloud, read_dromx, read_dropc,
+                    write_dromx, write_dropc)
 from drokit.formats import decode_dromx, decode_dropc, encode_dromx, encode_dropc
 
 
@@ -98,6 +99,21 @@ def test_header_checked_at_its_offsets(decode, data):
             decode(bytes(bad))
 
 
+def test_dropc_bad_label_flag_or_missing_label_index():
+    data = bytearray(encode_dropc(PointCloud(np.zeros((2, 3)), ["a", "b"])))
+    flag_off = 6 + 4 + 4
+    flagged = bytearray(data)
+    flagged[flag_off] = 2
+    with pytest.raises(FormatError, match=f"label flag must be 0 or 1 at byte offset {flag_off}"):
+        decode_dropc(bytes(flagged))
+    # the second point's label index 1 has no name in a trailer naming only 0
+    trailer_off = data.rindex(b"{")
+    idx_off = trailer_off - 8
+    with pytest.raises(FormatError, match=f"label index '1' missing from trailer "
+                                          rf"\(indices start at byte offset {idx_off}\)"):
+        decode_dropc(bytes(data[:trailer_off]) + b'{"0":"a"}')
+
+
 # ---------------------------------------------------------------- DROMX
 
 def test_dromx_round_trip_f64(tmp_path):
@@ -167,3 +183,13 @@ def test_dromx_decoded_matrix_owns_its_memory(dtype, numpy_dtype):
     data[19:] = b"\xff" * (len(data) - 19)  # overwrite the whole payload
     assert np.array_equal(back, mat)
     assert back.flags.writeable and back.flags.owndata
+
+
+@pytest.mark.parametrize("matrix, dtype, message", [
+    (np.ones((2, 3)), "f16", "dtype must be one of"),
+    (np.ones((2, 3, 4)), "f64", r"matrix must be 2-D, got shape \(2, 3, 4\)"),
+    (np.ones(3), "f32", r"matrix must be 2-D, got shape \(3,\)"),
+], ids=["dtype", "3d", "1d"])
+def test_encode_dromx_rejects_bad_dtype_or_shape(matrix, dtype, message):
+    with pytest.raises(ContractError, match=message):
+        encode_dromx(matrix, dtype)

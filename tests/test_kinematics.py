@@ -375,6 +375,36 @@ def test_plan_defers_an_unregistrable_cloud():
     assert "need at least 3 points" in str(err.value)
 
 
+def _orphan_link(links, joints):
+    return (*links, "orphan"), joints
+
+
+def _second_parent_joint(links, joints):
+    return links, (*joints, dataclasses.replace(joints[-1], name="again"))
+
+
+def _unknown_parent(links, joints):
+    return links, (*joints[:-1], dataclasses.replace(joints[-1], parent_link="ghost"))
+
+
+def _children_first(links, joints):
+    return tuple(reversed(links)), joints
+
+
+@pytest.mark.parametrize("alter, message", [
+    (_second_parent_joint, "a link has more than one parent joint"),
+    (_orphan_link, "link 'orphan' is not connected to the tree"),
+    (_unknown_parent, "has unknown parent 'ghost'"),
+    (_children_first, "links are not topologically ordered"),
+], ids=["two-parents", "orphan", "unknown-parent", "unordered"])
+def test_model_built_directly_checks_its_structure(alter, message):
+    # KinematicModel is public, so its tables check what load_model would
+    model = load_model(hands.three_finger_hand()[0])
+    links, joints = alter(model.links, model.joints)
+    with pytest.raises(StructureError, match=message):
+        KinematicModel(links, joints, model.dof_index, model.tip_links)
+
+
 # ---------------------------------------------------------------- forward kinematics
 
 def test_zero_configuration_composes_fixed_origins_only():

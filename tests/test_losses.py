@@ -7,7 +7,7 @@ from drokit import (ContractError, DataError, TriangleMesh, contrastive_loss,
                     contrastive_weights, dro_l1_loss, penetration_loss,
                     pose_loss, signed_distances)
 from drokit.kinematics import matrix_from_rpy
-from drokit.losses import _closest_point_distances
+from drokit.losses import _closest_point_distances, check_watertight
 
 from geometry import box_mesh, icosphere, random_rotation
 
@@ -227,6 +227,17 @@ def test_zero_norm_feature_row_rejected():
                 contrastive_loss(phi, phi, np.arange(9.0).reshape(3, 3), **{name: value})
 
 
+@pytest.mark.parametrize("phi_a, phi_b, points, message", [
+    (np.zeros((0, 4)), np.zeros((0, 4)), np.zeros((0, 3)), "need at least one point"),
+    (np.ones((3, 4)), np.ones((3, 5)), np.zeros((3, 3)), "feature matrices must share shape"),
+    (np.ones(4), np.ones(4), np.zeros((1, 3)), "feature matrices must share shape"),
+    (np.ones((3, 4)), np.ones((3, 4)), np.zeros((2, 3)), "points_b length does not match"),
+], ids=["no-points", "feature-widths", "features-1d", "point-count"])
+def test_contrastive_inputs_checked(phi_a, phi_b, points, message):
+    with pytest.raises(ContractError, match=message):
+        contrastive_loss(phi_a, phi_b, points)
+
+
 # ---------------------------------------------------------------- pose loss
 
 def test_pose_loss_identity():
@@ -271,6 +282,14 @@ def test_pose_loss_rejects_translation_not_of_shape_3(x):
         pose_loss((np.eye(3), x), (np.eye(3), np.zeros(3)))
     with pytest.raises(ContractError, match="translation must have shape"):
         pose_loss((np.eye(3), np.zeros(3)), (np.eye(3), x))
+
+
+@pytest.mark.parametrize("rot", [np.eye(2), np.eye(4), np.ones(9)])
+def test_pose_loss_rejects_rotation_not_3x3(rot):
+    with pytest.raises(ContractError, match="rotation must be 3x3"):
+        pose_loss((rot, np.zeros(3)), (np.eye(3), np.zeros(3)))
+    with pytest.raises(ContractError, match="rotation must be 3x3"):
+        pose_loss((np.eye(3), np.zeros(3)), (rot, np.zeros(3)))
 
 
 # ---------------------------------------------------------------- penetration
@@ -363,6 +382,14 @@ def test_zero_iff_no_point_strictly_inside():
     assert penetration_loss(outside, mesh) == 0.0
     inside = np.array([[0.05, 0.0, 0.0]])
     assert penetration_loss(inside, mesh) > 0.0
+
+
+def test_check_watertight_rejects_empty_mesh():
+    empty = TriangleMesh(np.eye(3), np.zeros((0, 3), dtype=int))
+    with pytest.raises(DataError, match="mesh has no triangles"):
+        check_watertight(empty)
+    with pytest.raises(DataError, match="mesh has no triangles"):
+        penetration_loss(np.zeros((1, 3)), empty)
 
 
 # ---------------------------------------------------------------- L1

@@ -169,6 +169,23 @@ def test_bad_prediction_rejected_naming_q_pred(entry, value, message):
         controller_targets(model, q, np.zeros(3))
 
 
+@pytest.mark.parametrize("centroid, delta, message", [
+    (np.zeros(2), 0.1, "object centroid must be a 3-vector"),
+    (np.zeros((1, 3)), 0.1, "object centroid must be a 3-vector"),
+    (np.zeros(3), -0.1, "delta must be nonnegative and finite"),
+    (np.zeros(3), np.nan, "delta must be nonnegative and finite"),
+    (np.zeros(3), np.inf, "delta must be nonnegative and finite"),
+], ids=["centroid-2", "centroid-1x3", "delta-negative", "delta-nan", "delta-inf"])
+def test_bad_centroid_or_delta_rejected_naming_it(centroid, delta, message):
+    # a NaN delta used to fail as a non-finite configuration, and an infinite
+    # one warned first; neither named delta
+    urdf, _ = hands.three_finger_hand()
+    model = load_model(urdf)
+    q = 0.5 * (model.lower + model.upper)
+    with pytest.raises(ContractError, match=message):
+        controller_targets(model, q, centroid, delta=delta)
+
+
 def reference_controller_targets(model, q, centroid, delta):
     """Per-joint reference built from forward kinematics and each JointSpec:
     the sign of d/dq of the summed distance from the joint's descendant tips

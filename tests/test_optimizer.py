@@ -270,6 +270,12 @@ def test_bounded_damped_step_meets_kkt_where_clamping_is_exact():
     assert at_bound >= 20
 
 
+def test_empty_targets_rejected():
+    model = load_model(hands.three_finger_hand()[0])
+    with pytest.raises(ContractError, match="targets are empty"):
+        solve_joints(model, {}, np.zeros(model.n_dof))
+
+
 # ---------------------------------------------------------------- full pipeline
 
 def _random_grasp(model, rng):

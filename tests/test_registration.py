@@ -310,3 +310,17 @@ def test_pose_set_json_round_trip():
     for link in canonical:
         assert np.allclose(back.rotation(link), poses.rotation(link))
         assert np.allclose(back.translation(link), poses.translation(link))
+
+
+@pytest.mark.parametrize("points, message", [
+    (np.zeros((0, 3)), "need at least 3 points, got 0"),
+    (np.zeros((5, 2)), r"canonical points must have shape \(M, 3\), got \(5, 2\)"),
+    (np.zeros(15), r"canonical points must have shape \(M, 3\), got \(15,\)"),
+], ids=["empty", "two-columns", "1d"])
+def test_register_all_rejects_empty_or_malformed_canonical_cloud(points, message):
+    model, canonical = _hand_setup()
+    recovered = cloud_fk(model, np.zeros(model.n_dof), canonical)
+    broken = dict(canonical)
+    broken["f2_seg1"] = points
+    with pytest.raises(ContractError, match=rf"link 'f2_seg1': {message}"):
+        register_all(broken, recovered)
