@@ -23,6 +23,18 @@ from .rng import substream
 MIN_POINTS_PER_LINK = 4
 
 
+def _points_of(points, problem: str, cloud: str | None = None) -> np.ndarray:
+    """The (N, 3) float array of a PointCloud or array-like, else ContractError
+    ``f"{problem}, got {shape}"``; given ``cloud``, its name, the coordinates
+    must also be finite (without it only array metadata is read)."""
+    pts = points.points if isinstance(points, PointCloud) else np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ContractError(f"{problem}, got {pts.shape}")
+    if cloud is not None and not np.isfinite(pts).all():
+        raise ContractError(f"{cloud} contains non-finite coordinates")
+    return pts
+
+
 @dataclass
 class PointCloud:
     """N x 3 point array with optional per-point link labels.
@@ -36,11 +48,8 @@ class PointCloud:
     labels: list[str] | None = None
 
     def __post_init__(self):
-        self.points = np.ascontiguousarray(self.points, dtype=float)
-        if self.points.ndim != 2 or self.points.shape[1] != 3:
-            raise ContractError(f"points must be (N, 3), got {self.points.shape}")
-        if not np.all(np.isfinite(self.points)):
-            raise ContractError("point cloud contains non-finite coordinates")
+        self.points = np.ascontiguousarray(
+            _points_of(self.points, "points must be (N, 3)", "point cloud"))
         if self.labels is not None:
             self.labels = list(self.labels)
             if len(self.labels) != len(self.points):
@@ -76,10 +85,8 @@ class TriangleMesh:
     triangles: np.ndarray
 
     def __post_init__(self):
-        self.vertices = np.ascontiguousarray(self.vertices, dtype=float)
+        self.vertices = np.ascontiguousarray(_points_of(self.vertices, "vertices must be (V, 3)"))
         self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
-            raise ContractError(f"vertices must be (V, 3), got {self.vertices.shape}")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise ContractError(f"triangles must be (T, 3), got {self.triangles.shape}")
         if len(self.triangles) and (self.triangles.min() < 0
@@ -210,6 +217,7 @@ def _surface_points(mesh: TriangleMesh, draws: np.ndarray) -> np.ndarray:
 
 def sample_mesh_surface(mesh: TriangleMesh, n: int, rng: np.random.Generator) -> np.ndarray:
     """Area-weighted uniform surface samples with barycentric jitter."""
+    _require_integer("n", n, 0)
     return _surface_points(mesh, rng.random((3, n)))
 
 
@@ -249,7 +257,7 @@ def _greedy_fps(points: np.ndarray, k: int, initial: list[int]) -> list[int]:
 def farthest_point_sampling(points: np.ndarray, k: int, seed: int) -> list[int]:
     """Indices of k farthest-point samples; the start index is drawn
     uniformly from the seeded ``fps`` stream."""
-    points = np.asarray(points, dtype=float)
+    points = _points_of(points, "points must be (N, 3)", "points: point cloud")
     n = len(points)
     _require_integer("k", k, 1)
     _require_integer("seed", seed)
@@ -326,7 +334,7 @@ def cloud_fk(model: KinematicModel, q, canonical: dict[str, np.ndarray]) -> Poin
     for i, link in enumerate(model.links):
         if link not in canonical:
             continue
-        pts = np.asarray(canonical[link], dtype=float)
+        pts = _points_of(canonical[link], f"canonical cloud for link '{link}' must be (N, 3)")
         parts.append(pts @ rot[i].T + trans[i])
         labels.extend([link] * len(pts))
     return PointCloud(np.vstack(parts), labels)
@@ -356,10 +364,10 @@ def partial_cloud(points: np.ndarray, seed: int) -> np.ndarray:
     from it to the origin.  Points score by the dot product of ``r`` with
     their unit direction from the cloud centroid; the larger half survives.
     """
-    points = np.asarray(points, dtype=float)
+    points = _points_of(points, "points must be (N, 3)", "points: point cloud")
     n = len(points)
-    if n % 2 != 0:
-        raise ContractError("partial_cloud needs an even point count")
+    if n == 0 or n % 2 != 0:
+        raise ContractError(f"partial_cloud needs an even, nonzero point count, got {n}")
     _require_integer("seed", seed)
     rng = substream(seed, "partial")
     v = rng.normal(size=3)

@@ -34,20 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import PointCloud, _points_of
 from .errors import ContractError, DegeneracyError
 
 CONDITION_LIMIT = 1e10
 _STEP_TOL = 1e-8  # m; the refine stops once no row moves further than this
 _MAX_STEPS = 10  # refine cap; the iterate reached there is returned as is
 _ROW_CHUNK = 64  # bounds the (rows x object points) distance temporary
-
-
-def _points_of(cloud) -> np.ndarray:
-    pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ContractError(f"expected (N, 3) points, got shape {pts.shape}")
-    return pts
 
 
 def compute_dro(robot_cloud, object_cloud) -> np.ndarray:
@@ -62,8 +55,8 @@ def compute_dro(robot_cloud, object_cloud) -> np.ndarray:
     buffer, each squared in place and added in order, so every entry is
     sqrt((dx*dx + dy*dy) + dz*dz) and the temporaries are chunk-sized.
     """
-    rpts = _points_of(robot_cloud)
-    opts = _points_of(object_cloud)
+    rpts = _points_of(robot_cloud, "robot_cloud: expected (N, 3) points")
+    opts = _points_of(object_cloud, "object_cloud: expected (N, 3) points")
     if len(rpts) == 0 or len(opts) == 0:
         raise ContractError("clouds must be nonempty")
     lhs = np.ones((3, len(rpts), 2))  # [r_k | 1]
@@ -211,7 +204,7 @@ def _multilaterate_rows(dist: np.ndarray, obj: np.ndarray) -> np.ndarray:
 
 def multilaterate_point(distances, object_cloud) -> np.ndarray:
     """Position of one point from its distances to all object points."""
-    obj = _points_of(object_cloud)
+    obj = _points_of(object_cloud, "object_cloud: expected (N, 3) points")
     d = np.asarray(distances, dtype=float)
     if d.shape != (len(obj),):
         raise ContractError(f"distances shape {d.shape} does not match "
@@ -227,7 +220,7 @@ def recover_cloud(dro: np.ndarray, object_cloud, labels=None) -> PointCloud:
     on the rest of the matrix by less than that tolerance.  The output
     carries the provided link labels.
     """
-    obj = _points_of(object_cloud)
+    obj = _points_of(object_cloud, "object_cloud: expected (N, 3) points")
     dro = np.asarray(dro, dtype=float)
     if dro.ndim != 2:
         raise ContractError(f"distance matrix must be 2-D, got shape {dro.shape}")

@@ -3,7 +3,8 @@
 Callers can rely on the split when mapping failures to CLI exit codes:
 contract/structure problems are validation errors, data/format/degeneracy
 problems are data errors.  The input rules that several layers share,
-counts, positive values and nonnegative values, are written once here.
+counts, positive values and nonnegative values, are written once here; the
+point-array rule lives beside ``PointCloud`` as ``cloud._points_of``.
 """
 
 import math

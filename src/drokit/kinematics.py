@@ -203,8 +203,8 @@ class KinematicModel:
     canonical_clouds : dict or None
         Per-link canonical point arrays, attached via :meth:`with_clouds`.
     recovery_plan : read-only tables or None
-        What grasp recovery needs of the model, built once with the clouds;
-        None without clouds.
+        What grasp recovery needs of the model, built whole with the clouds,
+        which :meth:`with_clouds` checks; None without clouds.
     """
 
     def __init__(self, links, joints, dof_index, tip_links):
@@ -302,7 +302,8 @@ class KinematicModel:
         """Copy sharing this model's tables, with canonical clouds attached in
         ``links`` order (the row order of ``cloud_fk``) whatever the dict's
         order, and the recovery plan built from them.  The attached arrays
-        are read-only copies, so the clouds and the plan cannot disagree."""
+        are read-only copies, so the clouds and the plan cannot disagree.  A
+        cloud registration cannot use raises ContractError naming its link."""
         for link in canonical_clouds:
             if link not in self._link_index:
                 raise ContractError(f"cloud for unknown link '{link}'")
@@ -356,14 +357,13 @@ class _Targets:
 class _RecoveryPlan:
     """Everything ``recover_grasp`` needs that depends on the model alone.
 
-    ``labels`` are the rows' links in canonical-cloud order.  ``segments`` is
-    None when a canonical cloud cannot be registered, and ``problem`` says
-    why.  ``targets`` are the joint solve's, posed by the cloud links.
+    ``labels`` are the rows' links in canonical-cloud order, ``segments``
+    the registration tables of those clouds, and ``targets`` the joint
+    solve's, posed by the cloud links.
     """
 
     labels: tuple[str, ...]
-    segments: _CloudSegments | None
-    problem: str | None
+    segments: _CloudSegments
     targets: _Targets
 
 
@@ -402,11 +402,8 @@ def _recovery_plan(model: KinematicModel) -> _RecoveryPlan:
     labels = tuple(link for link, pts in clouds.items() for _ in range(len(pts)))
     parents = {link: model.links[p] if p >= 0 else None
                for link, p in zip(model.links, model._parent.tolist())}
-    try:
-        segments, problem = _cloud_segments(clouds, parents), None
-    except ContractError as exc:
-        segments, problem = None, str(exc)
-    return _RecoveryPlan(labels, segments, problem, _solve_targets(model, tuple(clouds)))
+    return _RecoveryPlan(labels, _cloud_segments(clouds, parents),
+                         _solve_targets(model, tuple(clouds)))
 
 
 def _text(el, key: str, what: str) -> str:

@@ -11,8 +11,8 @@ import warnings
 
 import numpy as np
 
-from .cloud import TriangleMesh
-from .dro import _points_of, compute_dro
+from .cloud import TriangleMesh, _points_of
+from .dro import compute_dro
 from .errors import ContractError, DataError, _require_positive
 from .rng import substream
 
@@ -30,7 +30,7 @@ def contrastive_weights(points_b: np.ndarray, lam: float,
     All points coincident makes the normalizer zero; the limit convention is
     an all-ones matrix, reported via a warning.
     """
-    pts = _points_of(points_b)
+    pts = _points_of(points_b, "points_b: expected (N, 3) points")
     n = len(pts)
     if n < 1:
         raise ContractError("need at least one point")
@@ -64,7 +64,7 @@ def contrastive_loss(phi_a: np.ndarray, phi_b: np.ndarray, points_b: np.ndarray,
         raise ContractError(f"feature matrices must share shape (N, D), "
                             f"got {a.shape} and {b.shape}")
     _require_positive("tau", tau)
-    pts = _points_of(points_b)
+    pts = _points_of(points_b, "points_b: expected (N, 3) points")
     if len(pts) != len(a):
         raise ContractError("points_b length does not match feature rows")
 
@@ -103,8 +103,8 @@ def dro_l1_loss(pred: np.ndarray, gt: np.ndarray) -> float:
     """Mean absolute elementwise difference of two distance matrices."""
     a = np.asarray(pred, dtype=float)
     b = np.asarray(gt, dtype=float)
-    if a.shape != b.shape:
-        raise ContractError(f"shape mismatch: {a.shape} vs {b.shape}")
+    if a.shape != b.shape or a.size == 0:
+        raise ContractError(f"matrices must share a nonempty shape, got {a.shape} and {b.shape}")
     return float(np.abs(a - b).mean())
 
 
@@ -151,7 +151,7 @@ def _solid_angles(points: np.ndarray, corners: np.ndarray) -> np.ndarray:
 def _per_point(points, mesh: TriangleMesh, kernel) -> np.ndarray:
     """``kernel(chunk, corners)``, one value per point, over chunks of the
     points so the (points x triangles) arrays stay bounded."""
-    pts = _points_of(points)
+    pts = _points_of(points, "points: expected (N, 3) points")
     corners = mesh.corners()
     out = np.empty(len(pts))
     for i in range(0, len(pts), _POINT_CHUNK):
@@ -195,7 +195,7 @@ def check_watertight(mesh: TriangleMesh) -> None:
 def penetration_loss(robot_cloud, object_mesh: TriangleMesh) -> float:
     """Magnitude of summed negative signed distances of robot points to the
     object surface: zero iff no point is strictly inside."""
-    pts = _points_of(robot_cloud)
+    pts = _points_of(robot_cloud, "robot_cloud: expected (N, 3) points")
     check_watertight(object_mesh)
     sdf = signed_distances(pts, object_mesh)
     return float(abs(np.minimum(sdf, 0.0).sum()))

@@ -73,8 +73,8 @@ def read_grasp_records(path) -> list[GraspRecord]:
 
 def per_dimension_std(grasps: list[GraspRecord]) -> np.ndarray:
     """Population standard deviation of each configuration dimension."""
-    if not grasps:
-        raise ContractError("grasp list is empty")
+    if not grasps or len(grasps[0].q) == 0:
+        raise ContractError("grasp list or its configurations are empty")
     n = len(grasps[0].q)
     for g in grasps:
         if len(g.q) != n:

@@ -272,17 +272,11 @@ def recover_grasp(model: KinematicModel, dro: np.ndarray, object_cloud,
     elapsed: dict[str, float] = {}
     recovered = _stage(elapsed, "multilateration", recover_cloud, dro, object_cloud,
                        plan.labels)
-    poses = _stage(elapsed, "registration", _register_planned, plan, recovered.points)
+    poses = _stage(elapsed, "registration", _register, plan.segments, recovered.points)
     q, report = _stage(elapsed, "optimization", _solve_planned,
                        model, plan.targets, poses, q, params)
     return GraspResult(q=q, link_poses=poses, recovered_cloud=recovered, report=report,
                        elapsed=elapsed)
-
-
-def _register_planned(plan, points: np.ndarray) -> LinkPoseSet:
-    if plan.segments is None:
-        raise ContractError(plan.problem)
-    return _register(plan.segments, points)
 
 
 def _solve_planned(model, targets, poses, q, params):

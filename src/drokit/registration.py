@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import PointCloud, _points_of
 from .errors import ContractError, DegeneracyError
 from .kinematics import LinkPoseSet
 
@@ -67,13 +67,15 @@ def _tag(link) -> str:
 
 
 def _checked(segments: _CloudSegments, i: int, predicted_points) -> np.ndarray:
-    """The predicted points of ``segments``' link ``i`` as floats; they must
-    have its canonical points' shape."""
-    b = np.asarray(predicted_points, dtype=float)
+    """The predicted points of ``segments``' link ``i`` as finite floats;
+    they must have its canonical points' shape."""
+    where = f"registration{_tag(segments.links[i])}"
+    b = _points_of(predicted_points, f"{where}: predicted points must have shape (M, 3)",
+                   f"{where}: predicted point cloud")
     shape = (int(segments.counts[i]), 3)
     if b.shape != shape:
-        raise ContractError(f"registration{_tag(segments.links[i])}: point arrays must "
-                            f"share shape (M, 3), got {shape} and {b.shape}")
+        raise ContractError(f"{where}: point arrays must share shape (M, 3), "
+                            f"got {shape} and {b.shape}")
     return b
 
 
@@ -107,18 +109,20 @@ def _cloud_segments(canonical: dict, parents: dict | None) -> _CloudSegments:
     links = tuple(canonical)
     blocks = []
     for link in links:
-        a = np.asarray(canonical[link], dtype=float)
-        if a.ndim != 2 or a.shape[1] != 3:
-            raise ContractError(f"registration{_tag(link)}: "
-                                f"canonical points must have shape (M, 3), got {a.shape}")
+        where = f"registration{_tag(link)}"
+        a = _points_of(canonical[link], f"{where}: canonical points must have shape (M, 3)")
         if len(a) < 3:
-            raise ContractError(f"registration{_tag(link)}: need at least 3 points, "
-                                f"got {len(a)}")
+            raise ContractError(f"{where}: need at least 3 points, got {len(a)}")
         blocks.append(a)
     counts = np.array([len(a) for a in blocks])
     starts = np.cumsum(counts) - counts
     points = np.concatenate(blocks)
     centroid = np.add.reduceat(points, starts) / counts[:, None]
+    # no extra pass over the points: a non-finite one (or overflow) shows in its centroid
+    bad = np.flatnonzero(~np.isfinite(centroid).all(axis=1))
+    if len(bad):
+        raise ContractError(f"registration{_tag(links[bad[0]])}: canonical point cloud "
+                            "contains non-finite coordinates")
     centred = (points - np.repeat(centroid, counts, axis=0)).T.copy()
     for table in (starts, counts, centroid, centred):
         table.flags.writeable = False
@@ -167,7 +171,9 @@ def _register(segments: _CloudSegments, points: np.ndarray) -> LinkPoseSet:
 
 def registration_residual(canonical_points, predicted_points, rot, x) -> float:
     """Sum of squared correspondence errors under a candidate pose."""
-    a = np.asarray(canonical_points, dtype=float)
-    b = np.asarray(predicted_points, dtype=float)
+    a = _points_of(canonical_points, "canonical_points: expected (N, 3) points")
+    b = _points_of(predicted_points, "predicted_points: expected (N, 3) points")
+    if a.shape != b.shape:
+        raise ContractError(f"point arrays must share shape (M, 3), got {a.shape} and {b.shape}")
     err = b - (a @ np.asarray(rot).T + np.asarray(x))
     return float((err * err).sum())

@@ -335,6 +335,19 @@ def test_recover_q_init_of_wrong_length_exit_validation(assets, capsys):
     assert "q_init: configuration has shape (3,)" in capsys.readouterr().err
 
 
+def test_recover_robot_cloud_with_a_two_point_link_exit_validation(assets, capsys):
+    out, robot, obj, _, _ = _computed_assets(assets)
+    cloud = read_dropc(robot)
+    link = cloud.labels[-1]  # the last segment, so dropping its tail keeps the rest in place
+    keep = np.arange(cloud.labels.index(link) + 2)
+    short = out / "short.dropc"
+    write_dropc(short, PointCloud(cloud.points[keep], [cloud.labels[i] for i in keep]))
+    code = run(["--output", out, "recover", out / "dro.dromx", obj,
+                "--model", assets["urdf"], "--robot-cloud", short])
+    assert code == 2
+    assert f"link '{link}': need at least 3 points, got 2" in capsys.readouterr().err
+
+
 def test_recover_coplanar_object_exit_data(assets, capsys):
     out, robot, obj, _, _ = _computed_assets(assets)
     flat = read_dropc(obj)

@@ -115,6 +115,10 @@ def test_by_link_groups_points():
     assert np.array_equal(groups["a"], pts[:2])
 
 
+def _arm():
+    return load_model(hands.planar_two_link_arm())
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda: PointCloud(np.zeros((4, 2))), r"points must be \(N, 3\), got \(4, 2\)"),
     (lambda: PointCloud(np.zeros(3)), r"points must be \(N, 3\), got \(3,\)"),
@@ -123,8 +127,19 @@ def test_by_link_groups_points():
     (lambda: TriangleMesh(np.zeros((3, 3)), [0, 1, 2]), r"triangles must be \(T, 3\)"),
     (lambda: TriangleMesh(np.zeros((3, 3)), [[0, 1, 3]]), "triangle indices out of vertex range"),
     (lambda: TriangleMesh(np.zeros((3, 3)), [[0, 1, -1]]), "triangle indices out of vertex range"),
+    (lambda: farthest_point_sampling(np.zeros((5, 2)), 2, 0),
+     r"points must be \(N, 3\), got \(5, 2\)"),
+    (lambda: farthest_point_sampling(np.full((4, 3), np.nan), 2, 0),
+     "points: point cloud contains non-finite coordinates"),
+    (lambda: partial_cloud(np.zeros((4, 2)), 1), r"points must be \(N, 3\), got \(4, 2\)"),
+    (lambda: partial_cloud(np.zeros((0, 3)), 1), "even, nonzero point count, got 0"),
+    (lambda: partial_cloud(np.array([[0.0, 0, 0], [np.inf, 0, 0]]), 1),
+     "points: point cloud contains non-finite coordinates"),
+    (lambda: cloud_fk(_arm(), np.zeros(_arm().n_dof), {"lower": np.zeros((4, 2))}),
+     r"canonical cloud for link 'lower' must be \(N, 3\), got \(4, 2\)"),
 ], ids=["points-2-columns", "points-1d", "no-labels", "vertices-2-columns", "triangles-1d",
-        "index-past-end", "index-negative"])
+        "index-past-end", "index-negative", "fps-2-columns", "fps-nan", "partial-2-columns",
+        "partial-empty", "partial-inf", "cloud-fk-2-columns"])
 def test_cloud_and_mesh_shapes_checked(make, message):
     with pytest.raises(ContractError, match=message):
         make()
@@ -175,6 +190,13 @@ def test_zero_area_mesh_rejected():
     flat = TriangleMesh(np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]]), [[0, 1, 2]])
     with pytest.raises(DataError, match="zero total surface area"):
         sample_mesh_surface(flat, 8, substream(0, "test"))
+
+
+@pytest.mark.parametrize("bad", [-1, 2.5, True])
+def test_sample_mesh_surface_checks_n(bad):
+    # -1 raised a bare ValueError and 2.5 a bare TypeError
+    with pytest.raises(ContractError, match="n must be"):
+        sample_mesh_surface(box_mesh(0.1, 0.2, 0.3), bad, substream(0, "test"))
 
 
 # ---------------------------------------------------------------- FPS

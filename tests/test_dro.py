@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import drokit.dro as dro_module
-from drokit import (ContractError, DegeneracyError, PointCloud, compute_dro,
-                    multilaterate_point, recover_cloud)
+from drokit import (ContractError, DegeneracyError, PointCloud, compute_dro, dro_l1_loss,
+                    multilaterate_point, recover_cloud, registration_residual)
 from drokit.dro import _ROW_CHUNK
 
 from geometry import random_rotation
@@ -418,7 +418,14 @@ def test_recover_cloud_refines_until_converged():
     (lambda: compute_dro(np.zeros((4, 3)), np.zeros(3)), r"expected \(N, 3\) points"),
     (lambda: recover_cloud(np.ones((2, 5)), np.zeros((5, 4))), r"expected \(N, 3\) points"),
     (lambda: recover_cloud(np.ones(5), np.zeros((5, 3))), "distance matrix must be 2-D"),
-], ids=["compute-robot", "compute-object", "recover-object", "recover-1d-matrix"])
+    (lambda: registration_residual(np.zeros((4, 2)), np.zeros((4, 3)), np.eye(3), np.zeros(3)),
+     r"canonical_points: expected \(N, 3\) points, got \(4, 2\)"),
+    (lambda: registration_residual(np.zeros((4, 3)), np.zeros((3, 3)), np.eye(3), np.zeros(3)),
+     r"point arrays must share shape \(M, 3\), got \(4, 3\) and \(3, 3\)"),
+    (lambda: dro_l1_loss(np.zeros((0, 4)), np.zeros((0, 4))),
+     r"matrices must share a nonempty shape, got \(0, 4\) and \(0, 4\)"),
+], ids=["compute-robot", "compute-object", "recover-object", "recover-1d-matrix",
+        "residual-2-columns", "residual-lengths-differ", "l1-empty"])
 def test_bad_point_or_matrix_shape_rejected(call, message):
     with pytest.raises(ContractError, match=message):
         call()

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import drokit
-from drokit import (ContractError, KinematicModel, LinkPoseSet, PointCloud, StageError,
-                    StructureError, UrdfError, clamp_to_limits, forward_kinematics,
-                    in_limits, link_origin_jacobian, link_targets_from_poses, load_model,
-                    matrix_from_rpy, model_summary, recover_grasp, rpy_from_matrix)
+from drokit import (ContractError, KinematicModel, LinkPoseSet, StructureError, UrdfError,
+                    clamp_to_limits, forward_kinematics, in_limits, link_origin_jacobian,
+                    link_targets_from_poses, load_model, matrix_from_rpy, model_summary,
+                    rpy_from_matrix)
 from drokit.kinematics import PRISMATIC, VIRTUAL_PRISMATIC, _fk_arrays, _jacobians
 
 import hands
@@ -301,7 +301,7 @@ def test_tables_built_once_across_load_and_with_clouds(monkeypatch):
 
     monkeypatch.setattr(KinematicModel, "_build_tables", counting)
     model = load_model(hands.planar_two_link_arm())
-    model.with_clouds({model.links[-1]: np.zeros((2, 3))})
+    model.with_clouds({model.links[-1]: np.eye(3)})
     assert len(built) == 1
 
 
@@ -356,23 +356,19 @@ def test_plan_does_not_depend_on_cloud_dict_order(three_finger):
             assert a == b
 
 
-def test_plan_defers_an_unregistrable_cloud():
-    # a two-point cloud cannot be registered; attaching it still works, and
-    # the plan keeps the reason for the registration stage, which raises it
+@pytest.mark.parametrize("cloud, message", [
+    (np.zeros((2, 3)), "need at least 3 points, got 2"),
+    (np.zeros((4, 2)), r"canonical points must have shape \(M, 3\), got \(4, 2\)"),
+    (np.array([[0.0, 0, 0], [1, 0, 0], [0, np.nan, 0]]),
+     "canonical point cloud contains non-finite coordinates"),
+], ids=["two-points", "two-columns", "nan"])
+def test_with_clouds_refuses_an_unregistrable_cloud(cloud, message):
+    # the cloud is refused as it attaches, naming its link, so every model
+    # with clouds has a whole recovery plan
     model = load_model(hands.planar_two_link_arm())
-    model = model.with_clouds({model.links[-2]: np.zeros((2, 3))})
-    plan = model.recovery_plan
-    assert plan.segments is None
-    assert "need at least 3 points" in plan.problem
-    assert len(plan.labels) == 2
-    obj = np.random.default_rng(8).normal(0.0, 0.05, size=(16, 3))
-    rows = np.array([[0.2, 0.0, 0.0], [0.25, 0.0, 0.0]])
-    matrix = np.linalg.norm(rows[:, None, :] - obj[None, :, :], axis=-1)
-    with pytest.raises(StageError) as err:
-        recover_grasp(model, matrix, PointCloud(obj), np.zeros(model.n_dof))
-    assert err.value.stage == "registration"
-    assert isinstance(err.value.cause, ContractError)
-    assert "need at least 3 points" in str(err.value)
+    link = model.links[-2]
+    with pytest.raises(ContractError, match=rf"registration for link '{link}': {message}"):
+        model.with_clouds({model.links[-1]: np.eye(3), link: cloud})
 
 
 def _orphan_link(links, joints):

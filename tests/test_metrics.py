@@ -27,6 +27,12 @@ def test_single_grasp_diversity_zero():
     assert diversity([record(np.zeros(9))]) == 0.0
 
 
+def test_diversity_of_empty_configurations_rejected():
+    # used to warn "Mean of empty slice" and return NaN
+    with pytest.raises(ContractError, match="grasp list or its configurations are empty"):
+        diversity([record(np.zeros(0)), record(np.zeros(0))])
+
+
 def test_two_grasps_one_joint_epsilon():
     eps = 0.05
     n = 8

@@ -93,6 +93,20 @@ def test_too_few_points():
         register_link(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("canonical_nan", [False, True])
+def test_register_link_refuses_non_finite_points_naming_the_link(canonical_nan):
+    # either used to end in a bare LinAlgError from the SVD
+    rng = np.random.default_rng(6)
+    pts = rng.normal(size=(6, 3))
+    bad = pts.copy()
+    bad[2, 1] = np.nan
+    which = "canonical" if canonical_nan else "predicted"
+    with pytest.raises(ContractError, match=f"link 'f0_seg1': {which} point cloud contains "
+                                            "non-finite coordinates"):
+        register_link(bad if canonical_nan else pts, pts if canonical_nan else bad,
+                      name="f0_seg1")
+
+
 def test_collinear_points_degenerate_and_named():
     line = np.outer(np.linspace(0, 1, 8), [1.0, 0.0, 0.0])
     with pytest.raises(DegeneracyError) as err:
@@ -316,7 +330,10 @@ def test_pose_set_json_round_trip():
     (np.zeros((0, 3)), "need at least 3 points, got 0"),
     (np.zeros((5, 2)), r"canonical points must have shape \(M, 3\), got \(5, 2\)"),
     (np.zeros(15), r"canonical points must have shape \(M, 3\), got \(15,\)"),
-], ids=["empty", "two-columns", "1d"])
+    (np.full((5, 3), np.nan), "canonical point cloud contains non-finite coordinates"),
+    (np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, -np.inf]]),
+     "canonical point cloud contains non-finite coordinates"),
+], ids=["empty", "two-columns", "1d", "nan", "inf"])
 def test_register_all_rejects_empty_or_malformed_canonical_cloud(points, message):
     model, canonical = _hand_setup()
     recovered = cloud_fk(model, np.zeros(model.n_dof), canonical)
