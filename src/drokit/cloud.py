@@ -85,7 +85,8 @@ class TriangleMesh:
     triangles: np.ndarray
 
     def __post_init__(self):
-        self.vertices = np.ascontiguousarray(_points_of(self.vertices, "vertices must be (V, 3)"))
+        self.vertices = np.ascontiguousarray(
+            _points_of(self.vertices, "vertices must be (V, 3)", "vertices: mesh"))
         self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise ContractError(f"triangles must be (T, 3), got {self.triangles.shape}")
@@ -199,8 +200,11 @@ def _surface_points(mesh: TriangleMesh, draws: np.ndarray) -> np.ndarray:
     """
     if len(mesh.triangles) == 0:
         raise DataError("mesh has no triangles to sample")
-    areas = mesh.areas()
-    total = areas.sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        areas = mesh.areas()
+        total = areas.sum()
+    if not math.isfinite(total):
+        raise DataError(f"mesh total surface area is not finite, got {total}")
     if total <= 0.0:
         raise DataError("mesh has zero total surface area")
     cdf = np.cumsum(areas) / total
@@ -225,38 +229,74 @@ def _greedy_fps(points: np.ndarray, k: int, initial: list[int]) -> list[int]:
     """Greedy max-min selection continuing from an initial index set.
 
     Each added index maximizes the minimum Euclidean distance to the chosen
-    set; ties break to the lowest index (np.argmax picks the first maximum).
-    Distances are ``sqrt((dx² + dy²) + dz²)``, the order ``np.linalg.norm``
-    sums in, computed over a (3, N) copy in buffers reused for every pick.
-    The sqrt stays: comparing squared distances could break a tie that only
-    appears after rounding to a different index.
+    set; ties break to the lowest index.  Distances are
+    ``sqrt((dx² + dy²) + dz²)`` with ``dx = point - pick``, the order
+    ``np.linalg.norm`` sums in.  The sqrt stays: comparing squared distances
+    could break a tie that only appears after rounding to a different index.
+
+    The points are sorted once by x, and only a slab of the sorted copy is
+    updated per pick.  When a pick's max-min distance is m, every point is
+    already within m of the chosen set, and a point with ``|dx| >= m`` is
+    at least m from the pick, so its minimum cannot change.  The slab's
+    half-width is m widened by a relative margin (2⁻²⁰, far above the few
+    roundings of a distance), by a few ulps of ``|x_pick| + m`` for the
+    rounding of its bounds and of dx, and by an absolute floor (2⁻⁵⁰⁰, at
+    which dx² is still a normal number); a point outside it computes a
+    distance of at least m.  So every minimum, and so every pick, is
+    bitwise that of a full update.
+
+    ``argmax`` finds the first maximum in x order; if the maximum occurs
+    again further on, the lowest input index among its occurrences is
+    taken.  The initial indices update every point, keeping the minimum of
+    the squared sums and rooting it once after them: a correctly rounded
+    sqrt is monotone, so the root of a minimum is the minimum of the roots.
     """
-    pts = np.ascontiguousarray(points.T)
-    dist = np.full(len(points), np.inf)
+    n = len(points)
+    order = np.argsort(points[:, 0])
+    pts = points.T.take(order, axis=1)
+    xs = pts[0]
+    dist = np.full(n, np.inf)
     diff = np.empty_like(pts)
     d = np.empty_like(dist)
 
-    def update(i):
-        np.subtract(pts, pts[:, i:i + 1], out=diff)
-        np.square(diff, out=diff)
-        np.add(diff[0], diff[1], out=d)
-        np.add(d, diff[2], out=d)
-        np.sqrt(d, out=d)
-        np.minimum(dist, d, out=dist)
+    def update(pick, lo, hi, root=True):
+        sq, dd = diff[:, lo:hi], d[lo:hi]
+        np.subtract(pts[:, lo:hi], pick, out=sq)
+        np.square(sq, out=sq)
+        np.add(sq[0], sq[1], out=dd)
+        np.add(dd, sq[2], out=dd)
+        if root:
+            np.sqrt(dd, out=dd)
+        np.minimum(dist[lo:hi], dd, out=dist[lo:hi])
 
     chosen = list(initial)
     for i in chosen:
-        update(i)
+        update(points[i][:, None], 0, n, root=False)
+    np.sqrt(dist, out=dist)
     while len(chosen) < k:
-        nxt = int(np.argmax(dist))
-        chosen.append(nxt)
-        update(nxt)
+        j = int(dist.argmax())
+        m = float(dist[j])
+        rest = dist[j + 1:]
+        if rest.size and rest[rest.argmax()] == m:
+            tied = np.flatnonzero(dist == m)
+            j = int(tied[np.argmin(order[tied])])
+        chosen.append(int(order[j]))
+        x = float(xs[j])
+        half = m * (1.0 + 2.0 ** -20) + 4.0 * math.ulp(abs(x) + m) + 2.0 ** -500
+        update(pts[:, j:j + 1], int(xs.searchsorted(x - half, side="left")),
+               int(xs.searchsorted(x + half, side="right")))
     return chosen
 
 
 def farthest_point_sampling(points: np.ndarray, k: int, seed: int) -> list[int]:
     """Indices of k farthest-point samples; the start index is drawn
-    uniformly from the seeded ``fps`` stream."""
+    uniformly from the seeded ``fps`` stream.
+
+    Each next index is the point farthest from those already chosen, the
+    lowest index among equally far points.  Each pick updates only the
+    points whose x lies within its distance of the pick's x (plus a
+    rounding margin): no other point can come nearer to the chosen set, so
+    the indices are bitwise those of updating every point at every pick."""
     points = _points_of(points, "points must be (N, 3)", "points: point cloud")
     n = len(points)
     _require_integer("k", k, 1)

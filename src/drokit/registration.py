@@ -175,5 +175,11 @@ def registration_residual(canonical_points, predicted_points, rot, x) -> float:
     b = _points_of(predicted_points, "predicted_points: expected (N, 3) points")
     if a.shape != b.shape:
         raise ContractError(f"point arrays must share shape (M, 3), got {a.shape} and {b.shape}")
-    err = b - (a @ np.asarray(rot).T + np.asarray(x))
+    rot, x = np.asarray(rot, dtype=float), np.asarray(x, dtype=float)
+    for name, value, shape in (("rot", rot, (3, 3)), ("x", x, (3,))):
+        if value.shape != shape:
+            raise ContractError(f"{name} must have shape {shape}, got {value.shape}")
+        if not np.isfinite(value).all():
+            raise ContractError(f"{name} contains non-finite values")
+    err = b - (a @ rot.T + x)
     return float((err * err).sum())

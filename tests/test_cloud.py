@@ -127,6 +127,10 @@ def _arm():
     (lambda: TriangleMesh(np.zeros((3, 3)), [0, 1, 2]), r"triangles must be \(T, 3\)"),
     (lambda: TriangleMesh(np.zeros((3, 3)), [[0, 1, 3]]), "triangle indices out of vertex range"),
     (lambda: TriangleMesh(np.zeros((3, 3)), [[0, 1, -1]]), "triangle indices out of vertex range"),
+    (lambda: TriangleMesh(np.array([[0.0, 0, 0], [1, 0, 0], [0, np.nan, 0]]), [[0, 1, 2]]),
+     "vertices: mesh contains non-finite coordinates"),
+    (lambda: TriangleMesh(np.array([[0.0, 0, 0], [np.inf, 0, 0], [0, 1, 0]]), [[0, 1, 2]]),
+     "vertices: mesh contains non-finite coordinates"),
     (lambda: farthest_point_sampling(np.zeros((5, 2)), 2, 0),
      r"points must be \(N, 3\), got \(5, 2\)"),
     (lambda: farthest_point_sampling(np.full((4, 3), np.nan), 2, 0),
@@ -138,8 +142,8 @@ def _arm():
     (lambda: cloud_fk(_arm(), np.zeros(_arm().n_dof), {"lower": np.zeros((4, 2))}),
      r"canonical cloud for link 'lower' must be \(N, 3\), got \(4, 2\)"),
 ], ids=["points-2-columns", "points-1d", "no-labels", "vertices-2-columns", "triangles-1d",
-        "index-past-end", "index-negative", "fps-2-columns", "fps-nan", "partial-2-columns",
-        "partial-empty", "partial-inf", "cloud-fk-2-columns"])
+        "index-past-end", "index-negative", "vertices-nan", "vertices-inf", "fps-2-columns",
+        "fps-nan", "partial-2-columns", "partial-empty", "partial-inf", "cloud-fk-2-columns"])
 def test_cloud_and_mesh_shapes_checked(make, message):
     with pytest.raises(ContractError, match=message):
         make()
@@ -190,6 +194,14 @@ def test_zero_area_mesh_rejected():
     flat = TriangleMesh(np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]]), [[0, 1, 2]])
     with pytest.raises(DataError, match="zero total surface area"):
         sample_mesh_surface(flat, 8, substream(0, "test"))
+
+
+def test_overflowing_area_mesh_rejected():
+    # the cross products of 1e200-sized edges overflow: the total area is
+    # not finite, and no NaN cdf may turn into points
+    huge = TriangleMesh(1e200 * np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]), [[0, 1, 2]])
+    with pytest.raises(DataError, match="mesh total surface area is not finite"):
+        sample_mesh_surface(huge, 8, substream(0, "test"))
 
 
 @pytest.mark.parametrize("bad", [-1, 2.5, True])
@@ -260,6 +272,36 @@ def test_fps_matches_norm_recurrence_on_grid(spacing):
     # another summation order or squared distances pick other points
     grid = np.stack(np.meshgrid(*[np.arange(7.0)] * 3, indexing="ij"), -1)
     pts = spacing * grid.reshape(-1, 3)
+    _assert_fps_matches_norm(pts, len(pts))
+
+
+def test_fps_matches_norm_recurrence_on_one_x():
+    # every point shares one x: each pick's slab is the whole cloud
+    yz = np.random.default_rng(35).random((600, 2))
+    pts = np.column_stack([np.full(600, 0.25), yz])
+    _assert_fps_matches_norm(pts, 200)
+
+
+def test_fps_matches_norm_recurrence_on_clusters_apart_in_x():
+    # two clusters 5 m apart along x and 1 cm across: once each holds a
+    # pick, a pick in one skips every point of the other
+    rng = np.random.default_rng(36)
+    pts = np.vstack([0.01 * rng.random((400, 3)), 0.01 * rng.random((400, 3)) + [5.0, 0, 0]])
+    _assert_fps_matches_norm(pts, 300)
+
+
+def test_fps_matches_norm_recurrence_on_ulp_spaced_line():
+    # a line along x 10^3 m out, its points three ulps apart: each slab
+    # bound x ± m lands on or beside a point, at the scale of its rounding
+    x = 1e3 + 3 * np.spacing(1e3) * np.arange(300)
+    pts = np.column_stack([x, np.zeros(300), np.zeros(300)])
+    _assert_fps_matches_norm(pts, 300)
+
+
+def test_fps_matches_norm_recurrence_on_repeated_points():
+    # each point four times: exact ties at every pick, and a max-min of 0
+    # once every distinct point is chosen
+    pts = np.repeat(np.random.default_rng(37).random((100, 3)), 4, axis=0)
     _assert_fps_matches_norm(pts, len(pts))
 
 

@@ -422,10 +422,21 @@ def test_recover_cloud_refines_until_converged():
      r"canonical_points: expected \(N, 3\) points, got \(4, 2\)"),
     (lambda: registration_residual(np.zeros((4, 3)), np.zeros((3, 3)), np.eye(3), np.zeros(3)),
      r"point arrays must share shape \(M, 3\), got \(4, 3\) and \(3, 3\)"),
+    (lambda: registration_residual(np.zeros((4, 3)), np.zeros((4, 3)), np.eye(2), np.zeros(3)),
+     r"rot must have shape \(3, 3\), got \(2, 2\)"),
+    (lambda: registration_residual(np.zeros((4, 3)), np.zeros((4, 3)), np.eye(3), np.zeros(2)),
+     r"x must have shape \(3,\), got \(2,\)"),
+    (lambda: registration_residual(np.zeros((4, 3)), np.zeros((4, 3)), np.full((3, 3), np.nan),
+                                   np.zeros(3)),
+     "rot contains non-finite values"),
+    (lambda: registration_residual(np.zeros((4, 3)), np.zeros((4, 3)), np.eye(3),
+                                   [0.0, np.inf, 0.0]),
+     "x contains non-finite values"),
     (lambda: dro_l1_loss(np.zeros((0, 4)), np.zeros((0, 4))),
      r"matrices must share a nonempty shape, got \(0, 4\) and \(0, 4\)"),
 ], ids=["compute-robot", "compute-object", "recover-object", "recover-1d-matrix",
-        "residual-2-columns", "residual-lengths-differ", "l1-empty"])
+        "residual-2-columns", "residual-lengths-differ", "residual-rot-2x2", "residual-x-2",
+        "residual-rot-nan", "residual-x-inf", "l1-empty"])
 def test_bad_point_or_matrix_shape_rejected(call, message):
     with pytest.raises(ContractError, match=message):
         call()
