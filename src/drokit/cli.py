@@ -366,15 +366,12 @@ def cmd_losses(args) -> int:
     if kind == "dro-l1":
         pred = read_dromx(_require_file(args.files[0], "prediction matrix"))
         gt = read_dromx(_require_file(args.files[1], "ground-truth matrix"))
-        out = {"dro_l1": dro_l1_loss(np.asarray(pred, dtype=float),
-                                     np.asarray(gt, dtype=float))}
+        out = {"dro_l1": dro_l1_loss(pred, gt)}
     elif kind == "contrastive":
         phi_a = read_dromx(_require_file(args.files[0], "feature matrix A"))
         phi_b = read_dromx(_require_file(args.files[1], "feature matrix B"))
         pts = read_dropc(_require_file(args.files[2], "point cloud"))
-        out = {"contrastive": contrastive_loss(np.asarray(phi_a, dtype=float),
-                                               np.asarray(phi_b, dtype=float),
-                                               pts.points, tau=args.tau, lam=args.lam)}
+        out = {"contrastive": contrastive_loss(phi_a, phi_b, pts, tau=args.tau, lam=args.lam)}
     elif kind == "pose":
         def load_poses(path, what):
             f = _require_file(path, what)
@@ -391,12 +388,10 @@ def cmd_losses(args) -> int:
         values = [pose_loss((poses.rotation(l), poses.translation(l)),
                             (gt.rotation(l), gt.translation(l))) for l in common]
         out = {"pose": float(np.mean(values))}
-    elif kind == "penetration":
+    else:  # penetration
         cloud = read_dropc(_require_file(args.files[0], "point cloud"))
         mesh = load_obj(_require_file(args.files[1], "object mesh").read_text())
         out = {"penetration": penetration_loss(cloud, mesh)}
-    else:  # pragma: no cover - argparse restricts choices
-        raise ContractError(f"unknown loss kind '{kind}'")
     print(json.dumps(out, sort_keys=True))
     return EXIT_OK
 

@@ -24,10 +24,13 @@ MIN_POINTS_PER_LINK = 4
 
 
 def _points_of(points, problem: str, cloud: str | None = None) -> np.ndarray:
-    """The (N, 3) float array of a PointCloud or array-like, else ContractError
-    ``f"{problem}, got {shape}"``; given ``cloud``, its name, the coordinates
-    must also be finite (without it only array metadata is read)."""
-    pts = points.points if isinstance(points, PointCloud) else np.asarray(points, dtype=float)
+    """The (N, 3) C-ordered float64 array of a PointCloud or array-like (copied
+    only if not already one, so every point array enters the library in one
+    layout), else ContractError ``f"{problem}, got {shape}"``; given ``cloud``,
+    its name, the coordinates must also be finite (without it only array
+    metadata is read)."""
+    pts = np.asarray(points.points if isinstance(points, PointCloud) else points,
+                     dtype=float, order="C")
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ContractError(f"{problem}, got {pts.shape}")
     if cloud is not None and not np.isfinite(pts).all():
@@ -48,8 +51,7 @@ class PointCloud:
     labels: list[str] | None = None
 
     def __post_init__(self):
-        self.points = np.ascontiguousarray(
-            _points_of(self.points, "points must be (N, 3)", "point cloud"))
+        self.points = _points_of(self.points, "points must be (N, 3)", "point cloud")
         if self.labels is not None:
             self.labels = list(self.labels)
             if len(self.labels) != len(self.points):
@@ -85,8 +87,7 @@ class TriangleMesh:
     triangles: np.ndarray
 
     def __post_init__(self):
-        self.vertices = np.ascontiguousarray(
-            _points_of(self.vertices, "vertices must be (V, 3)", "vertices: mesh"))
+        self.vertices = _points_of(self.vertices, "vertices must be (V, 3)", "vertices: mesh")
         self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise ContractError(f"triangles must be (T, 3), got {self.triangles.shape}")

@@ -16,9 +16,10 @@ The squared-range residual is linear in (p, ||p||^2, 1), so the closed form
 and every polish step come from a few moments of d^2.  The matrix is read once,
 in ``_ROW_CHUNK``-row blocks, each checked with one ``min``, and each step
 after that costs O(rows).  Everything that depends on the object alone (its
-centroid frame, the reference check, M, M^-1 and t) is computed once per
-object and kept for the next call on the same object, so a run of
-recoveries against one object pays only for its matrices.
+centroid frame, the reference check, M, M^-1 and t) is one cached function
+of the object's bytes, so a run of recoveries against one object pays only
+for its matrices, and a recovery depends on the object's values alone, not
+on its memory layout or on the objects recovered before.
 
 The distance matrix itself is built ``_ROW_CHUNK`` robot rows at a time,
 each coordinate difference coming from BLAS as the GEMM [r_k | 1] @
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -95,18 +97,16 @@ class _ObjectFrame:
     o_sq_sum: float  # sum_j ||o_j||^2
 
 
-# (obj.tobytes(), frame) of the last object multilaterated; replaced as a
-# whole, so a thread reads either the old pair or the new one
-_last_frame: tuple[bytes, _ObjectFrame] | None = None
+@lru_cache(maxsize=1)
+def _object_frame_of(key: bytes) -> _ObjectFrame:
+    """The frame of the object whose C-ordered float64 coordinates are ``key``.
 
-
-def _object_frame(obj: np.ndarray) -> _ObjectFrame:
-    """The object's frame, computed once for a run of calls on one object."""
-    global _last_frame
-    key = obj.tobytes()
-    last = _last_frame
-    if last is not None and last[0] == key:
-        return last[1]
+    The last object's frame is kept, so a run of recoveries against one
+    object builds it once.  The key is ``obj.tobytes()`` and the points are
+    rebuilt from it, so the frame depends only on the object's values: not on
+    the layout of the array passed in, nor on which object came before.
+    """
+    obj = np.frombuffer(key).reshape(-1, 3)
     n = len(obj)
     centroid = obj.mean(axis=0) if n else np.zeros(3)  # no references: rejected later
     basis = np.ones((n, 4))
@@ -125,11 +125,9 @@ def _object_frame(obj: np.ndarray) -> _ObjectFrame:
                           f"condition number exceeds {CONDITION_LIMIT:.0e}")
     o_sq = (o * o).sum(axis=1)
     moment = o.T @ o
-    frame = _ObjectFrame(centroid, basis, degenerate, moment,
-                         None if degenerate else np.linalg.inv(moment),
-                         o_sq @ o, float(o_sq.sum()))
-    _last_frame = (key, frame)
-    return frame
+    return _ObjectFrame(centroid, basis, degenerate, moment,
+                        None if degenerate else np.linalg.inv(moment),
+                        o_sq @ o, float(o_sq.sum()))
 
 
 @np.errstate(all="ignore")  # inf * 0 and overflow end in the checks
@@ -161,7 +159,7 @@ def _multilaterate_rows(dist: np.ndarray, obj: np.ndarray) -> np.ndarray:
     non-finite entry is reported before a negative one, and both before the
     reference check, wherever they sit in the matrix.
     """
-    frame = _object_frame(obj)
+    frame = _object_frame_of(obj.tobytes())
     n = len(obj)
     sums = np.empty((len(dist), 4))  # [G | g]
     sq = np.empty((min(_ROW_CHUNK, len(dist)), n))

@@ -102,6 +102,8 @@ def controller_targets(model: KinematicModel, q_pred, object_centroid,
     centroid = np.asarray(object_centroid, dtype=float)
     if centroid.shape != (3,):
         raise ContractError("object centroid must be a 3-vector")
+    if not np.isfinite(centroid).all():
+        raise ContractError(f"object centroid must be finite, got {centroid}")
     _require_nonnegative("delta", delta)
 
     rot, trans = _fk_arrays(model, q)

@@ -109,6 +109,12 @@ def test_sample_duplicate_joint_name_exit_validation(assets, capsys):
     assert f"joint name '{first}'" in capsys.readouterr().err
 
 
+def test_sample_model_unset_exit_validation(assets, capsys):
+    assert run(["--output", assets["root"] / "o", "sample",
+                "--mesh-dir", assets["mesh_dir"]]) == 2
+    assert "model file not specified (flag or config)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mesh_dir, code, message", [
     (None, 2, "mesh directory not specified"),
     ("ghost", 2, "mesh directory not found"),
@@ -516,6 +522,17 @@ def test_losses_pose_malformed_file_exit_data(tmp_path, capsys, doc):
     pg.write_text(json.dumps(good))
     assert run(["losses", "pose", pp, pg]) == 3
     assert "not a valid pose file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry, name", [("R", "rotation"), ("x", "translation")])
+def test_losses_pose_non_finite_file_exit_validation(tmp_path, capsys, entry, name):
+    good = {"R": list(np.eye(3).ravel()), "x": [0.0, 0.0, 0.0]}
+    bad = dict(good, **{entry: [float("nan")] + good[entry][1:]})
+    pp, pg = tmp_path / "p.json", tmp_path / "g.json"
+    pp.write_text(json.dumps({"a": bad}))
+    pg.write_text(json.dumps({"a": good}))
+    assert run(["losses", "pose", pp, pg]) == 2
+    assert f"{name} contains non-finite values" in capsys.readouterr().err
 
 
 def test_losses_pose_files_sharing_no_link_exit_data(tmp_path, capsys):

@@ -196,6 +196,14 @@ def test_zero_area_mesh_rejected():
         sample_mesh_surface(flat, 8, substream(0, "test"))
 
 
+def test_mesh_without_triangles_rejected():
+    bare = TriangleMesh(np.eye(3), np.zeros((0, 3), dtype=int))
+    with pytest.raises(DataError, match="mesh has no triangles to sample"):
+        sample_mesh_surface(bare, 8, substream(0, "test"))
+    with pytest.raises(DataError, match="mesh has no triangles to sample"):
+        sample_object_cloud(bare, SamplingConfig())
+
+
 def test_overflowing_area_mesh_rejected():
     # the cross products of 1e200-sized edges overflow: the total area is
     # not finite, and no NaN cdf may turn into points

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import drokit.dro as dro_module
-from drokit import (ContractError, DegeneracyError, PointCloud, compute_dro, dro_l1_loss,
-                    multilaterate_point, recover_cloud, registration_residual)
+from drokit import (ContractError, DegeneracyError, PointCloud, cloud_fk, compute_dro,
+                    dro_l1_loss, multilaterate_point, recover_cloud, recover_grasp,
+                    registration_residual)
 from drokit.dro import _ROW_CHUNK
 
 from geometry import random_rotation
@@ -585,6 +586,33 @@ def test_object_frame_memo_does_not_depend_on_call_order():
     assert recover_cloud(mats[0], shared).points.tobytes() == forward[0]
     assert multilaterate_point(mats[0][3], shared).tobytes() == \
         recover_cloud(mats[0][3:4], objs[0]).points[0].tobytes()
+
+
+def test_recovery_does_not_depend_on_object_layout(three_finger):
+    # the same object values as a C-ordered array and as the transpose of a
+    # (3, N) array, each first after another object: whichever layout builds
+    # the kept frame, every recovery must be the same to the bit
+    model, _, object_cloud = three_finger
+    rng = np.random.default_rng(25)
+    c_obj = object_cloud.points
+    f_obj = np.ascontiguousarray(c_obj.T).T
+    assert f_obj.flags.f_contiguous and not f_obj.flags.c_contiguous
+    q = np.clip(rng.uniform(-0.3, 0.3, model.n_dof), model.lower, model.upper)
+    mat = _noisy_matrix(rng, cloud_fk(model, q, model.canonical_clouds).points, c_obj)
+    other = random_references(rng, 100)
+    other_mat = compute_dro(rng.normal(scale=0.2, size=(8, 3)), other)
+
+    def recover(obj):
+        grasp = recover_grasp(model, mat, obj)
+        return (recover_cloud(mat, obj).points.tobytes(),
+                multilaterate_point(mat[7], obj).tobytes(),
+                grasp.q.tobytes(), grasp.recovered_cloud.points.tobytes())
+
+    results = []
+    for first, second in ((c_obj, f_obj), (f_obj, c_obj)):
+        recover_cloud(other_mat, other)
+        results += [recover(first), recover(second)]
+    assert all(r == results[0] for r in results)
 
 
 def test_reference_check_runs_once_per_object(monkeypatch):

@@ -292,6 +292,21 @@ def test_pose_loss_rejects_rotation_not_3x3(rot):
         pose_loss((np.eye(3), np.zeros(3)), (rot, np.zeros(3)))
 
 
+@pytest.mark.parametrize("rot, x, name", [
+    (np.diag([np.nan, 1.0, 1.0]), np.zeros(3), "rotation"),
+    (np.eye(3) + np.diag([np.inf], k=2), np.zeros(3), "rotation"),
+    (np.eye(3), np.array([np.nan, 0.0, 0.0]), "translation"),
+    (np.eye(3), np.array([0.0, 0.0, -np.inf]), "translation"),
+], ids=["rotation-nan", "rotation-inf", "translation-nan", "translation-inf"])
+def test_pose_loss_rejects_non_finite_pose(rot, x, name):
+    # a NaN rotation used to pass the orthonormality test and warn in det;
+    # a non-finite translation came back as a NaN or infinite loss
+    for pose, pose_gt in (((rot, x), (np.eye(3), np.zeros(3))),
+                          ((np.eye(3), np.zeros(3)), (rot, x))):
+        with pytest.raises(ContractError, match=f"{name} contains non-finite values"):
+            pose_loss(pose, pose_gt)
+
+
 # ---------------------------------------------------------------- penetration
 
 def test_no_penetration_outside():

@@ -178,10 +178,13 @@ def test_bad_prediction_rejected_naming_q_pred(entry, value, message):
 @pytest.mark.parametrize("centroid, delta, message", [
     (np.zeros(2), 0.1, "object centroid must be a 3-vector"),
     (np.zeros((1, 3)), 0.1, "object centroid must be a 3-vector"),
+    (np.array([np.nan, 0.0, 0.0]), 0.1, "object centroid must be finite"),
+    (np.array([0.0, np.inf, 0.0]), 0.1, "object centroid must be finite"),
     (np.zeros(3), -0.1, "delta must be nonnegative and finite"),
     (np.zeros(3), np.nan, "delta must be nonnegative and finite"),
     (np.zeros(3), np.inf, "delta must be nonnegative and finite"),
-], ids=["centroid-2", "centroid-1x3", "delta-negative", "delta-nan", "delta-inf"])
+], ids=["centroid-2", "centroid-1x3", "centroid-nan", "centroid-inf", "delta-negative",
+        "delta-nan", "delta-inf"])
 def test_bad_centroid_or_delta_rejected_naming_it(centroid, delta, message):
     # a NaN delta used to fail as a non-finite configuration, and an infinite
     # one warned first; neither named delta

@@ -306,6 +306,13 @@ def test_register_all_names_a_link_whose_points_differ_in_shape():
         register_all(canonical, short)
 
 
+def test_register_all_of_nothing_is_an_empty_pose_set():
+    poses = register_all({}, PointCloud(np.zeros((0, 3)), []))
+    assert poses.links == ()
+    assert poses.rotations.shape == (0, 3, 3) and poses.translations.shape == (0, 3)
+    assert poses.fallback_links == frozenset()
+
+
 def test_register_all_label_mismatch():
     model, canonical = _hand_setup()
     recovered = cloud_fk(model, np.zeros(model.n_dof), canonical)
